@@ -17,8 +17,6 @@ Usage::
     python -m repro fleet --devices 4 --dispatch least_loaded --scenario bursty
     python -m repro qos --scenario bursty --autoscaler queue_depth --json
     python -m repro scenarios              # registered scenarios, previewed
-    python -m repro bench --quick          # perf harness -> BENCH_*.json
-    python -m repro trend --current out/   # compare vs committed baselines
     python -m repro cache info             # persistent LUT cache state
     python -m repro store info             # persistent experiment store
     python -m repro docs                   # regenerate docs/REGISTRY.md
@@ -43,6 +41,7 @@ infeasible placements) exit with code 2 and a one-line error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import (
@@ -627,111 +626,6 @@ def _cmd_scenarios(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_bench(args) -> str:
-    import json
-
-    from .perf import render_report, run_bench, write_reports
-
-    report = run_bench(
-        quick=args.quick,
-        model=MODELS.canonical(args.model),
-        block_count=args.blocks,
-        time_steps=args.steps,
-        repeats=args.repeats,
-    )
-    paths = write_reports(report, args.out)
-    speedup = report["lut_build"]["speedup"]
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        raise ReproError(
-            f"perf gate failed: vectorized LUT build speedup {speedup:.2f}x "
-            f"is below the required {args.min_speedup:.2f}x"
-        )
-    loop_speedup = report["runtime"]["speedup"]
-    if (args.min_runtime_speedup is not None
-            and loop_speedup < args.min_runtime_speedup):
-        raise ReproError(
-            f"perf gate failed: vectorized slice-loop speedup "
-            f"{loop_speedup:.2f}x is below the required "
-            f"{args.min_runtime_speedup:.2f}x"
-        )
-    qos_throughput = report["qos"]["requests_per_s"]
-    if (args.min_qos_throughput is not None
-            and qos_throughput < args.min_qos_throughput):
-        raise ReproError(
-            f"perf gate failed: QoS simulator throughput "
-            f"{qos_throughput:.0f} requests/s is below the required "
-            f"{args.min_qos_throughput:.0f}"
-        )
-    qos_speedup = report["qos"]["speedup"]
-    if (args.min_qos_speedup is not None
-            and qos_speedup < args.min_qos_speedup):
-        raise ReproError(
-            f"perf gate failed: vectorized QoS engine speedup "
-            f"{qos_speedup:.2f}x is below the required "
-            f"{args.min_qos_speedup:.2f}x"
-        )
-    resume_speedup = report["store"]["resume_speedup"]
-    if (args.min_store_speedup is not None
-            and resume_speedup < args.min_store_speedup):
-        raise ReproError(
-            f"perf gate failed: warm store-resume sweep is only "
-            f"{resume_speedup:.2f}x faster than the cold sweep, below "
-            f"the required {args.min_store_speedup:.2f}x"
-        )
-    serve_speedup = report["serve"]["speedup"]
-    if (args.min_serve_speedup is not None
-            and serve_speedup < args.min_serve_speedup):
-        raise ReproError(
-            f"perf gate failed: warm-daemon submissions are only "
-            f"{serve_speedup:.2f}x faster than cold per-process engines, "
-            f"below the required {args.min_serve_speedup:.2f}x"
-        )
-    dist_speedup = report["dist"]["speedup"]
-    if (args.min_dist_speedup is not None
-            and dist_speedup < args.min_dist_speedup):
-        raise ReproError(
-            f"perf gate failed: the {report['dist']['workers']}-worker "
-            f"distributed sweep is only {dist_speedup:.2f}x faster than "
-            f"one worker, below the required {args.min_dist_speedup:.2f}x"
-        )
-    obs_overhead = report["obs"]["disabled_overhead"]
-    if (args.max_obs_overhead is not None
-            and obs_overhead > args.max_obs_overhead):
-        raise ReproError(
-            f"perf gate failed: disabled-tracing instrumentation costs "
-            f"{obs_overhead:.2%} of the untraced workload, above the "
-            f"allowed {args.max_obs_overhead:.2%}"
-        )
-    if args.json:
-        return json.dumps(report, indent=2, sort_keys=True)
-    lines = [render_report(report), ""]
-    lines += [f"wrote {path}" for path in paths]
-    return "\n".join(lines)
-
-
-def _cmd_trend(args) -> str:
-    from pathlib import Path
-
-    from .perf import compare_reports, render_markdown
-
-    deltas = compare_reports(
-        args.baseline, args.current, tolerance=args.tolerance
-    )
-    table = render_markdown(deltas, tolerance=args.tolerance)
-    if args.summary:
-        Path(args.summary).write_text(table)
-    regressions = [delta for delta in deltas if delta.regressed]
-    if regressions:
-        worst = min(regressions, key=lambda delta: delta.ratio)
-        raise ReproError(
-            f"perf trend failed: {len(regressions)} of {len(deltas)} "
-            f"sections regressed beyond {args.tolerance:.0%} (worst: "
-            f"{worst.section} {worst.metric} at {worst.ratio:.2f}x of "
-            f"baseline)\n\n{table}"
-        )
-    return table
-
-
 def _cmd_store(args) -> str:
     from .analysis.sweeps import render_store
     from .store import Store
@@ -1081,66 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--peak", type=int, default=10)
     scenarios.add_argument("--low", type=int, default=2)
     scenarios.add_argument("--seed", type=int, default=2025)
-    bench = sub.add_parser(
-        "bench", help="perf harness: LUT build, cache, sweep, lookup timings"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI-sized run: fewer repeats, smaller sweep grid")
-    bench.add_argument("--model", default="EfficientNet-B0")
-    bench.add_argument("--blocks", type=int, default=DEFAULT_BLOCK_COUNT)
-    bench.add_argument("--steps", type=int, default=DEFAULT_TIME_STEPS)
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="best-of repetitions per timing (default 3, 1 "
-                            "with --quick)")
-    bench.add_argument("--out", default=".",
-                       help="directory for the BENCH_*.json artifacts")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="fail (exit 2) if the vectorized LUT build is "
-                            "not this many times faster than the scalar "
-                            "reference")
-    bench.add_argument("--min-runtime-speedup", type=float, default=None,
-                       help="fail (exit 2) if the vectorized slice loop is "
-                            "not this many times faster than the scalar "
-                            "reference")
-    bench.add_argument("--min-qos-throughput", type=float, default=None,
-                       help="fail (exit 2) if the QoS simulator falls below "
-                            "this many simulated requests per second")
-    bench.add_argument("--min-qos-speedup", type=float, default=None,
-                       help="fail (exit 2) if the vectorized QoS engine is "
-                            "not this many times faster than the per-event "
-                            "scalar reference")
-    bench.add_argument("--min-store-speedup", type=float, default=None,
-                       help="fail (exit 2) if a warm store-resume sweep is "
-                            "not this many times faster than the cold sweep")
-    bench.add_argument("--min-serve-speedup", type=float, default=None,
-                       help="fail (exit 2) if warm-daemon submissions are "
-                            "not this many times faster than cold "
-                            "per-process engines")
-    bench.add_argument("--min-dist-speedup", type=float, default=None,
-                       help="fail (exit 2) if the multi-worker distributed "
-                            "sweep is not this many times faster than a "
-                            "single worker under the same synthetic cost")
-    bench.add_argument("--max-obs-overhead", type=float, default=None,
-                       help="fail (exit 2) if the disabled tracing "
-                            "instrumentation costs more than this fraction "
-                            "of the untraced workload (e.g. 0.05)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the full machine-readable report")
-    trend = sub.add_parser(
-        "trend", help="compare bench artifacts against committed baselines"
-    )
-    trend.add_argument("--baseline", metavar="DIR", default=".",
-                       help="directory holding the committed BENCH_*.json "
-                            "baselines (default: the repo root)")
-    trend.add_argument("--current", metavar="DIR", required=True,
-                       help="directory holding the fresh bench artifacts "
-                            "(a `repro bench --out DIR` run)")
-    trend.add_argument("--tolerance", type=float, default=0.30,
-                       help="fractional slack before a lower headline "
-                            "metric fails the trend (default: 0.30)")
-    trend.add_argument("--summary", metavar="FILE", default=None,
-                       help="also write the markdown delta table to FILE "
-                            "(point it at $GITHUB_STEP_SUMMARY in CI)")
     cache = sub.add_parser(
         "cache", help="inspect or clear the persistent LUT cache"
     )
@@ -1218,8 +1052,6 @@ _HANDLERS = {
     "status": _cmd_status,
     "shutdown": _cmd_shutdown,
     "scenarios": _cmd_scenarios,
-    "bench": _cmd_bench,
-    "trend": _cmd_trend,
     "cache": _cmd_cache,
     "store": _cmd_store,
     "docs": _cmd_docs,
@@ -1248,6 +1080,13 @@ def main(argv=None) -> int:
         # covers every other command.)
         print("interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # The reader went away (`repro scenarios | head -1`): stop
+        # quietly with the conventional 128+SIGPIPE.  Point stdout at
+        # devnull so the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except ReproError as error:
         # Library failures (bad configs, infeasible placements, unknown
         # registry keys) are user errors: one line, no traceback.

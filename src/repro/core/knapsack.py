@@ -23,8 +23,8 @@ paper-faithful per-element translation of the recurrence — and the
 *vectorized* production path, which runs the same update order through
 whole-array NumPy operations and produces bit-identical tables.  The
 scalar path is selected with ``REPRO_SCALAR_DP=1`` (or the
-:func:`scalar_dp` context manager) and exists for differential testing
-and as the baseline of the ``repro bench`` perf gate.
+:func:`scalar_dp` context manager) and exists as the oracle the
+differential tests check the fast path against.
 """
 
 from __future__ import annotations

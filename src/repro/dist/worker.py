@@ -15,17 +15,11 @@ Workers hold no sweep state: everything they know arrives in the CHUNK
 reply (configs, store path, lease TTL), so a worker can attach from
 any machine that shares the store path.
 
-Two environment knobs exist for the test and bench harnesses, both
-ignored when unset:
-
-* ``REPRO_DIST_TEST_STALL_S`` — after the first sub-batch of the first
-  chunk, sleep this long *without renewing the lease* (how the
-  differential test makes a worker lose its chunk deterministically,
-  and how the SIGKILL test parks a victim mid-chunk);
-* ``REPRO_DIST_RUN_STALL_S`` — sleep this long per config after
-  computing it, simulating heavier per-run cost; the dist bench
-  applies it identically to both its passes so the measured speedup
-  reflects executor overlap, not machine core count.
+One environment knob exists for the test harness, ignored when unset:
+``REPRO_DIST_TEST_STALL_S`` — after the first sub-batch of the first
+chunk, sleep this long *without renewing the lease* (how the
+differential test makes a worker lose its chunk deterministically, and
+how the SIGKILL test parks a victim mid-chunk).
 """
 
 from __future__ import annotations
@@ -179,7 +173,6 @@ def run_worker(host: str, port: int, worker: str | None = None,
         return None
 
     test_stall = _env_stall("REPRO_DIST_TEST_STALL_S")
-    run_stall = _env_stall("REPRO_DIST_RUN_STALL_S")
     engine: Engine | None = None
     chunks_done = 0
     configs_done = 0
@@ -235,8 +228,6 @@ def run_worker(host: str, port: int, worker: str | None = None,
                     engine.run_many(
                         batch, max_workers=max_workers, spill=True
                     )
-                    if run_stall:
-                        time.sleep(run_stall * len(batch))
                     completed += len(batch)
                     if test_stall and chunks_done == 0 and start == 0:
                         # Park without renewing: lease expires under us.

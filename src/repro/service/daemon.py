@@ -264,9 +264,9 @@ class ServeDaemon:
     def start(self) -> None:
         """Bind the socket and start worker + acceptor threads.
 
-        Returns once the daemon is accepting connections — tests and
-        the bench harness run the daemon in-process this way; the CLI
-        uses the blocking :meth:`run` instead.
+        Returns once the daemon is accepting connections — tests run
+        the daemon in-process this way; the CLI uses the blocking
+        :meth:`run` instead.
         """
         if self._server is not None:
             raise ServiceError("daemon already started")

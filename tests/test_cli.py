@@ -181,72 +181,6 @@ class TestFleetAndScenarios:
 
 
 class TestErrorExit:
-    def test_bench_quick_writes_artifacts(self, capsys, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setenv("REPRO_LUT_CACHE", str(tmp_path / "cache"))
-        out = run_cli(capsys, "bench", "--quick", "--blocks", "12",
-                      "--steps", "600", "--out", str(tmp_path),
-                      "--min-speedup", "1.0",
-                      "--min-runtime-speedup", "1.0",
-                      "--min-qos-throughput", "1.0")
-        assert "speedup" in out
-        names = {path.name for path in tmp_path.glob("BENCH_*.json")}
-        assert names == {"BENCH_lut_build.json", "BENCH_lut_cache.json",
-                         "BENCH_sweep.json", "BENCH_lookup.json",
-                         "BENCH_runtime.json", "BENCH_qos.json",
-                         "BENCH_store.json", "BENCH_serve.json",
-                         "BENCH_dist.json", "BENCH_obs.json"}
-        runtime = json.loads((tmp_path / "BENCH_runtime.json").read_text())
-        assert runtime["metrics"]["speedup"] > 0
-        assert runtime["metrics"]["slices"] > 0
-        qos = json.loads((tmp_path / "BENCH_qos.json").read_text())
-        assert qos["metrics"]["requests_per_s"] > 0
-        assert qos["metrics"]["scalar_requests_per_s"] > 0
-        assert qos["metrics"]["speedup"] > 0
-        assert (
-            qos["metrics"]["completed"] + qos["metrics"]["unfinished"]
-            == qos["metrics"]["requests"]
-        )
-        payload = json.loads((tmp_path / "BENCH_lut_build.json").read_text())
-        assert payload["bench"] == "lut_build"
-        assert payload["metrics"]["speedup"] > 0
-        assert json.loads(
-            (tmp_path / "BENCH_sweep.json").read_text()
-        )["metrics"]["disk_warm_dp_builds"] == 0
-        store = json.loads((tmp_path / "BENCH_store.json").read_text())
-        assert store["metrics"]["warm_runs_executed"] == 0
-        assert store["metrics"]["warm_store_hits"] == store["metrics"]["runs"]
-        serve = json.loads((tmp_path / "BENCH_serve.json").read_text())
-        assert serve["metrics"]["warm_dp_builds"] == 0
-        assert serve["metrics"]["speedup"] > 0
-        assert serve["metrics"]["jobs"] == len(serve["metrics"]["cases"])
-
-    def test_bench_gate_failure_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LUT_CACHE", str(tmp_path / "cache"))
-        code = main(["bench", "--quick", "--blocks", "12", "--steps", "600",
-                     "--out", str(tmp_path), "--min-speedup", "1e9"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "perf gate failed" in captured.err
-
-    def test_bench_qos_gate_failure_exits_2(self, capsys, tmp_path,
-                                            monkeypatch):
-        monkeypatch.setenv("REPRO_LUT_CACHE", str(tmp_path / "cache"))
-        code = main(["bench", "--quick", "--blocks", "12", "--steps", "600",
-                     "--out", str(tmp_path), "--min-qos-throughput", "1e18"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "QoS simulator throughput" in captured.err
-
-    def test_bench_qos_speedup_gate_failure_exits_2(self, capsys, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_LUT_CACHE", str(tmp_path / "cache"))
-        code = main(["bench", "--quick", "--blocks", "12", "--steps", "600",
-                     "--out", str(tmp_path), "--min-qos-speedup", "1e9"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "vectorized QoS engine speedup" in captured.err
-
     def test_sweep_spill_needs_store(self, capsys):
         code = main(["sweep", "--model", "EfficientNet-B0", "--case", "1",
                      "--blocks", "16", "--steps", "1500", "--slices", "2",
@@ -345,6 +279,25 @@ class TestVersionAndInterrupt:
         assert captured.err.strip() == "interrupted"
         assert "Traceback" not in captured.err
 
+    def test_closed_pipe_exits_141_without_traceback(self):
+        """``repro scenarios | head -1`` stops quietly with 128+SIGPIPE."""
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        # ~0.5 MB of sparklines: far more than a pipe buffers, so the
+        # write is still blocked when the reader hangs up.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "scenarios", "--slices", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
+
 
 class TestServeCli:
     """The client verbs against an in-process daemon on an ephemeral port."""
@@ -426,16 +379,6 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 7787
         assert args.workers == 1
-
-    def test_trend_requires_current(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trend"])
-
-    def test_trend_defaults(self):
-        args = build_parser().parse_args(["trend", "--current", "out/"])
-        assert args.baseline == "."
-        assert args.tolerance == 0.30
-        assert args.summary is None
 
     def test_sweep_spill_flag(self):
         args = build_parser().parse_args(["sweep", "--spill"])

@@ -104,7 +104,7 @@ class TestArchitectureDoc:
 
     def test_layer_map_names_every_layer(self, text):
         for layer in ("core/", "workloads/", "api/", "store/", "serving/",
-                      "qos/", "analysis/", "perf/", "cli.py"):
+                      "qos/", "analysis/", "cli.py", "perfbench/"):
             assert layer in text
 
     def test_paper_artifact_table_is_complete(self, text):

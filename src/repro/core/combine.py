@@ -7,10 +7,12 @@ and keeps the split minimising ``dp_hp[n/2][t][k_hp] +
 dp_lp[n/2][t][k_lp]``, producing the ``allocation_state`` rows that the
 LUT compiles (paper, Section III-B).
 
-The scan is vectorised: the whole ``(t, k_hp)`` plane is formed by adding
-the HP final table to the *column-reversed* LP final table and taking the
-argmin along ``k_hp``; path reconstruction then walks the count traces of
-every feasible budget at once.  Unlike the paper's pseudo-code we include
+The scan is vectorised over the time axis: it walks the splits ``k_hp``
+in ascending order, adds the HP energy row of ``k_hp`` to the LP energy
+row of ``K - k_hp`` (both contiguous over ``t``) and keeps a running
+strict-``<`` minimum, which selects the same first-minimum split as an
+argmin along ``k_hp``; path reconstruction then walks the count traces
+of every feasible budget at once.  Unlike the paper's pseudo-code we include
 the degenerate splits ``k_hp = 0`` and ``k_lp = 0`` — Fig. 6's "LP-MRAM
 only" region *is* the ``k_hp = 0`` split, so the pseudo-code's 1-based
 loop is read as an off-by-one simplification.
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PlacementError
+from ..obs.tracing import span as _span
 from .knapsack import ClusterDpResult, reconstruct_counts, use_scalar_dp
 
 
@@ -83,7 +86,8 @@ def set_allocation_state(
     """
     _validate_tables(hp, lp, total_blocks)
     if use_scalar_dp():
-        return _set_allocation_state_scalar(hp, lp, total_blocks)
+        with _combine_span(hp, lp, total_blocks):
+            return _set_allocation_state_scalar(hp, lp, total_blocks)
     t_idx, k_hp, energies, counts_columns = _solve_splits(hp, lp, total_blocks)
     rows: list = [None] * (hp.t_steps + 1)
     for position, t in enumerate(t_idx):
@@ -139,6 +143,14 @@ def _build_row(
     )
 
 
+def _combine_span(hp, lp, total_blocks):
+    """The ``core.combine`` trace span of one Algorithm 2 scan."""
+    return _span(
+        "core.combine", t_steps=hp.t_steps, blocks=total_blocks,
+        clusters=1 if lp is None else 2,
+    )
+
+
 def _solve_splits(
     hp: ClusterDpResult,
     lp: ClusterDpResult | None,
@@ -152,26 +164,33 @@ def _solve_splits(
     ``counts_columns`` is a list of ``(SpaceKind, per-budget counts)``
     pairs covering every space of both clusters.
     """
-    t_count = hp.t_steps + 1
-    if lp is None:
-        energy = hp.dp[-1][:, total_blocks]
-        t_idx = np.nonzero(np.isfinite(energy))[0]
-        k_hp = np.full(len(t_idx), total_blocks, dtype=np.int64)
-        counts_columns = _reconstruct_many(hp, t_idx, k_hp)
-        return t_idx, k_hp, energy[t_idx], counts_columns
+    with _combine_span(hp, lp, total_blocks):
+        if lp is None:
+            energy = hp.energy[:, total_blocks]
+            t_idx = np.nonzero(np.isfinite(energy))[0]
+            k_hp = np.full(len(t_idx), total_blocks, dtype=np.int64)
+            counts_columns = _reconstruct_many(hp, t_idx, k_hp)
+            return t_idx, k_hp, energy[t_idx], counts_columns
 
-    # combined[t, k_hp] = hp[t, k_hp] + lp[t, K - k_hp]
-    combined = (
-        hp.dp[-1][:, : total_blocks + 1]
-        + lp.dp[-1][:, : total_blocks + 1][:, ::-1]
-    )
-    best = np.argmin(combined, axis=1)
-    energy = combined[np.arange(t_count), best]
-    t_idx = np.nonzero(np.isfinite(energy))[0]
-    k_hp = best[t_idx].astype(np.int64)
-    counts_columns = _reconstruct_many(hp, t_idx, k_hp)
-    counts_columns += _reconstruct_many(lp, t_idx, total_blocks - k_hp)
-    return t_idx, k_hp, energy[t_idx], counts_columns
+        # energy[t, k] is a transposed view of (k, t) storage, so
+        # energy.T[k] is the contiguous budget row of k blocks.
+        hp_rows, lp_rows = hp.energy.T, lp.energy.T
+        # best[t] = min over k_hp of hp[t, k_hp] + lp[t, K - k_hp]; the
+        # strict < keeps the first (smallest) minimising split.
+        best = hp_rows[0] + lp_rows[total_blocks]
+        best_k = np.zeros(len(best), dtype=np.int64)
+        candidate = np.empty_like(best)
+        better = np.empty(len(best), dtype=bool)
+        for split in range(1, total_blocks + 1):
+            np.add(hp_rows[split], lp_rows[total_blocks - split], out=candidate)
+            np.less(candidate, best, out=better)
+            np.copyto(best, candidate, where=better)
+            np.copyto(best_k, split, where=better)
+        t_idx = np.nonzero(np.isfinite(best))[0]
+        k_hp = best_k[t_idx]
+        counts_columns = _reconstruct_many(hp, t_idx, k_hp)
+        counts_columns += _reconstruct_many(lp, t_idx, total_blocks - k_hp)
+        return t_idx, k_hp, best[t_idx], counts_columns
 
 
 def _reconstruct_many(table: ClusterDpResult, t_idx, k_idx):
@@ -204,7 +223,7 @@ def _set_allocation_state_scalar(
     rows = []
     for t in range(hp.t_steps + 1):
         if lp is None:
-            energy = hp.dp[-1, t, total_blocks]
+            energy = hp.energy[t, total_blocks]
             if not np.isfinite(energy):
                 rows.append(None)
                 continue

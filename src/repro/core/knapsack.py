@@ -14,6 +14,12 @@ the optimal path (the paper's path-tracing variable); it also lets us
 enforce per-space capacity limits, which the hardware imposes even though
 the paper's formulation leaves them implicit.
 
+Reconstruction only ever reads the final energies ``dp[n]`` and the
+per-space ``count[i]`` traces, so the ``dp`` recurrence runs on a single
+``(K+1, T+1)`` energy plane updated in place (``dp[i-1]`` is only copied
+aside for capacity-bounded spaces), and ``count`` is stored in the
+smallest unsigned integer type that holds ``K``.
+
 Time is discretised to ``time_step_ns``; per-space step counts are rounded
 *up*, so a placement the DP declares feasible is feasible in continuous
 time too (the discretisation is conservative).
@@ -73,16 +79,17 @@ def scalar_dp(enabled: bool = True):
 
 @dataclass(frozen=True)
 class ClusterDpResult:
-    """The DP table of one cluster.
+    """The DP result of one cluster.
 
-    ``dp[i, t, k]`` is the minimum energy (nJ) of storing exactly ``k``
-    blocks in the first ``i`` spaces within time budget ``t`` steps;
-    ``count[i, t, k]`` is how many of those blocks the optimal path put in
+    ``energy[t, k]`` is the minimum energy (nJ) of storing exactly ``k``
+    blocks in all of the cluster's spaces within time budget ``t`` steps
+    (the recurrence's final ``dp[n]``); ``count[i, t, k]`` is how many of
+    those blocks the optimal path over the first ``i`` spaces put in
     space ``i``.
     """
 
     spaces: tuple
-    dp: np.ndarray
+    energy: np.ndarray
     count: np.ndarray
     time_step_ns: float
     step_counts: tuple
@@ -90,16 +97,16 @@ class ClusterDpResult:
     @property
     def t_steps(self) -> int:
         """Largest representable time budget, in steps."""
-        return self.dp.shape[1] - 1
+        return self.energy.shape[0] - 1
 
     @property
     def max_blocks(self) -> int:
         """``K``: the block-count dimension of the table."""
-        return self.dp.shape[2] - 1
+        return self.energy.shape[1] - 1
 
     def energy_row(self, t_step: int) -> np.ndarray:
         """``dp[n][t][:]`` — energies over all block counts at budget ``t``."""
-        return self.dp[-1, t_step, :]
+        return self.energy[t_step, :]
 
 
 def _step_count(time_ns: float, time_step_ns: float) -> int:
@@ -143,37 +150,35 @@ def knapsack_min_energy(
     _DP_BUILDS += 1
 
     n = len(spaces)
-    # Stored (space, k, t) so each budget row dp[i, k, :] is contiguous;
-    # the public dp[i, t, k] orientation is a transposed view of this.
-    dp = np.full((n + 1, max_blocks + 1, t_steps + 1), np.inf)
-    count = np.zeros((n + 1, max_blocks + 1, t_steps + 1), dtype=np.int32)
-    # Base condition (Algorithm 1, line 3): zero blocks cost zero energy.
-    dp[:, 0, :] = 0.0
-
     step_counts = tuple(
         _step_count(space.time_per_block_ns, time_step_ns) for space in spaces
     )
-
+    scalar = use_scalar_dp()
     with _span(
         "core.dp_build", spaces=n, t_steps=t_steps, blocks=max_blocks,
-        scalar=use_scalar_dp(),
+        scalar=scalar,
     ):
-        if use_scalar_dp():
-            _dp_scalar(spaces, t_steps, max_blocks, step_counts, dp, count)
-        else:
-            _dp_vectorized(
-                spaces, t_steps, max_blocks, step_counts, dp, count
-            )
+        # Stored (k, t) so each budget row energy[k, :] is contiguous;
+        # the public energy[t, k] orientation is a transposed view.
+        energy = np.full((max_blocks + 1, t_steps + 1), np.inf)
+        # Base condition (Algorithm 1, line 3): zero blocks cost zero energy.
+        energy[0, :] = 0.0
+        count = np.zeros(
+            (n + 1, max_blocks + 1, t_steps + 1),
+            dtype=np.min_scalar_type(max_blocks),
+        )
+        fill = _dp_scalar if scalar else _dp_vectorized
+        fill(spaces, t_steps, max_blocks, step_counts, energy, count)
     return ClusterDpResult(
         spaces=tuple(spaces),
-        dp=dp.transpose(0, 2, 1),
+        energy=energy.T,
         count=count.transpose(0, 2, 1),
         time_step_ns=time_step_ns,
         step_counts=step_counts,
     )
 
 
-def _dp_vectorized(spaces, t_steps, max_blocks, step_counts, dp, count):
+def _dp_vectorized(spaces, t_steps, max_blocks, step_counts, energy, count):
     """Whole-row NumPy form of the recurrence (the production path).
 
     Every update compares a shifted budget row against the running
@@ -184,10 +189,9 @@ def _dp_vectorized(spaces, t_steps, max_blocks, step_counts, dp, count):
         ti = step_counts[i - 1]
         ei = space.energy_per_block_nj
         cap = space.capacity_blocks
-        # Carry the previous space's solutions (Algorithm 1, lines 12-13).
-        dp[i] = dp[i - 1]
-        count[i] = 0
-        cur, cnt, prev = dp[i], count[i], dp[i - 1]
+        # energy holds dp[i-1]; it becomes dp[i] in place (Algorithm 1,
+        # lines 12-13 carry the previous space's solutions).
+        cnt = count[i]
         if cap >= max_blocks:
             # Paper-faithful unbounded recurrence: the capacity can never
             # bind, so dp[i][t-ti][k-1] + e_i extends any optimal prefix.
@@ -195,19 +199,24 @@ def _dp_vectorized(spaces, t_steps, max_blocks, step_counts, dp, count):
             # the whole time axis moves per iteration.
             if ti > t_steps:
                 continue
+            width = t_steps + 1 - ti
+            candidate = np.empty(width)
+            taken = np.empty(width, dtype=cnt.dtype)
+            take = np.empty(width, dtype=bool)
             for k in range(1, max_blocks + 1):
-                candidate = cur[k - 1, : t_steps + 1 - ti] + ei
-                dst = cur[k, ti:]
-                take = candidate < dst
-                if np.any(take):
-                    dst[take] = candidate[take]
-                    cdst = cnt[k, ti:]
-                    cdst[take] = cnt[k - 1, : t_steps + 1 - ti][take] + 1
+                np.add(energy[k - 1, :width], ei, out=candidate)
+                dst = energy[k, ti:]
+                np.less(candidate, dst, out=take)
+                if take.any():
+                    np.copyto(dst, candidate, where=take)
+                    np.add(cnt[k - 1, :width], 1, out=taken)
+                    np.copyto(cnt[k, ti:], taken, where=take)
         else:
             # Bounded variant: extending the *minimum-energy* path would
             # lose capacity-feasible but energy-dominated prefixes, so
             # take-j choices extend dp[i-1] directly.  Each j updates the
             # whole (k, t) plane at once — k >= j and t >= j * t_i.
+            prev = energy.copy()
             for j in range(1, cap + 1):
                 shift = j * ti
                 if shift > t_steps:
@@ -215,32 +224,30 @@ def _dp_vectorized(spaces, t_steps, max_blocks, step_counts, dp, count):
                 candidate = (
                     prev[: max_blocks + 1 - j, : t_steps + 1 - shift] + j * ei
                 )
-                dst = cur[j:, shift:]
+                dst = energy[j:, shift:]
                 take = candidate < dst
-                if np.any(take):
-                    dst[take] = candidate[take]
-                    cnt[j:, shift:][take] = j
+                np.copyto(dst, candidate, where=take)
+                np.copyto(cnt[j:, shift:], j, where=take)
 
 
-def _dp_scalar(spaces, t_steps, max_blocks, step_counts, dp, count):
+def _dp_scalar(spaces, t_steps, max_blocks, step_counts, energy, count):
     """Per-element reference translation of the recurrence (Eq. 2)."""
     for i, space in enumerate(spaces, start=1):
         ti = step_counts[i - 1]
         ei = space.energy_per_block_nj
         cap = space.capacity_blocks
-        dp[i] = dp[i - 1]
-        count[i] = 0
-        cur, cnt, prev = dp[i], count[i], dp[i - 1]
+        cnt = count[i]
         if cap >= max_blocks:
             if ti > t_steps:
                 continue
             for k in range(1, max_blocks + 1):
                 for t in range(ti, t_steps + 1):
-                    candidate = cur[k - 1, t - ti] + ei
-                    if candidate < cur[k, t]:
-                        cur[k, t] = candidate
+                    candidate = energy[k - 1, t - ti] + ei
+                    if candidate < energy[k, t]:
+                        energy[k, t] = candidate
                         cnt[k, t] = cnt[k - 1, t - ti] + 1
         else:
+            prev = energy.copy()
             for k in range(1, max_blocks + 1):
                 for j in range(1, min(cap, k) + 1):
                     shift = j * ti
@@ -249,8 +256,8 @@ def _dp_scalar(spaces, t_steps, max_blocks, step_counts, dp, count):
                     extend = j * ei
                     for t in range(shift, t_steps + 1):
                         candidate = prev[k - j, t - shift] + extend
-                        if candidate < cur[k, t]:
-                            cur[k, t] = candidate
+                        if candidate < energy[k, t]:
+                            energy[k, t] = candidate
                             cnt[k, t] = j
 
 
@@ -265,7 +272,7 @@ def reconstruct_counts(result: ClusterDpResult, t_step: int, blocks: int):
         raise PlacementError(f"t_step {t_step} outside table")
     if not 0 <= blocks <= result.max_blocks:
         raise PlacementError(f"block count {blocks} outside table")
-    if not np.isfinite(result.dp[-1, t_step, blocks]):
+    if not np.isfinite(result.energy[t_step, blocks]):
         raise PlacementError(
             f"state (t={t_step}, k={blocks}) is infeasible"
         )

@@ -304,7 +304,12 @@ class DataPlacementOptimizer:
         parallel over the MEM Interface Logic, so time divides by the
         destination space's module count; energy counts every access.
         """
-        kinds = set(old_counts) | set(new_counts)
+        # Definition order, not set order: the per-kind terms are summed
+        # in this order, so it must not depend on the string hash seed.
+        kinds = [
+            kind for kind in SpaceKind
+            if kind in old_counts or kind in new_counts
+        ]
         moved_out = {}
         moved_in = {}
         for kind in kinds:

@@ -1,11 +1,11 @@
 """Differential suite: vectorized DP/combine ≡ the scalar reference.
 
 The vectorized production path must be *bit-identical* to the scalar
-per-element translation of the paper's recurrences — same ``dp`` and
-``count`` tables, same allocation-state rows, same chosen
-:class:`~repro.core.lut.Placement` rows — across randomized spaces,
-budgets and capacities.  ``REPRO_SCALAR_DP=1`` (or the :func:`scalar_dp`
-context manager) selects the reference.
+per-element translation of the paper's recurrences — same final
+``energy`` plane and ``count`` traces, same allocation-state rows, same
+chosen :class:`~repro.core.lut.Placement` rows — across randomized
+spaces, budgets and capacities.  ``REPRO_SCALAR_DP=1`` (or the
+:func:`scalar_dp` context manager) selects the reference.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.core.combine import set_allocation_state, unique_allocation_rows
 from repro.core.knapsack import (
     dp_build_count,
     knapsack_min_energy,
+    reconstruct_counts,
     scalar_dp,
     use_scalar_dp,
 )
@@ -73,8 +74,41 @@ class TestKnapsackDifferential:
                 spaces, t_steps=t_steps, max_blocks=max_blocks,
                 time_step_ns=1.0,
             )
-        assert np.array_equal(fast.dp, ref.dp)
+        assert np.array_equal(fast.energy, ref.energy)
         assert np.array_equal(fast.count, ref.count)
+
+    @pytest.mark.parametrize(
+        "max_blocks, dtype", [(120, np.uint8), (300, np.uint16)]
+    )
+    def test_count_trace_uses_smallest_unsigned_type(self, max_blocks, dtype):
+        spaces = [make_space(SpaceKind.HP_SRAM, 1.0, 1.0, 1000)]
+        result = knapsack_min_energy(
+            spaces, t_steps=4, max_blocks=max_blocks, time_step_ns=1.0
+        )
+        assert result.count.dtype == dtype
+        assert result.energy.ndim == 2
+        assert result.energy.shape == (5, max_blocks + 1)
+
+    def test_wide_count_trace_bit_identical(self):
+        # K = 300 needs uint16 counts; the one-step unbounded space takes
+        # more than 255 blocks on the relaxed budgets.
+        spaces = [
+            make_space(SpaceKind.HP_MRAM, t=1.0, e=2.0, capacity=1000),
+            make_space(SpaceKind.HP_SRAM, t=2.0, e=0.5, capacity=5),
+        ]
+        fast = knapsack_min_energy(
+            spaces, t_steps=310, max_blocks=300, time_step_ns=1.0
+        )
+        with scalar_dp():
+            ref = knapsack_min_energy(
+                spaces, t_steps=310, max_blocks=300, time_step_ns=1.0
+            )
+        assert np.array_equal(fast.energy, ref.energy)
+        assert np.array_equal(fast.count, ref.count)
+        assert fast.count.max() > 255
+        for t in (300, 305, 310):
+            counts = reconstruct_counts(fast, t, 300)
+            assert sum(counts.values()) == 300
 
     def test_environment_variable_selects_scalar(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALAR_DP", "1")
@@ -149,6 +183,30 @@ class TestCombineDifferential:
             key = tuple(sorted((k.value, v) for k, v in row.counts.items()))
             seen.setdefault(key, row)
         assert unique == list(seen.values())
+
+    def test_tied_splits_pick_the_smallest_hp_share(self):
+        # Identical HP and LP spaces at integer energies: every feasible
+        # split of a budget costs the same, so the scan must keep the
+        # first (smallest) k_hp exactly as an argmin would.
+        blocks, t_steps = 8, 12
+        hp = knapsack_min_energy(
+            [make_space(SpaceKind.HP_MRAM, 1.0, 3.0, 1000)],
+            t_steps=t_steps, max_blocks=blocks, time_step_ns=1.0,
+        )
+        lp = knapsack_min_energy(
+            [make_space(SpaceKind.LP_MRAM, 1.0, 3.0, 1000)],
+            t_steps=t_steps, max_blocks=blocks, time_step_ns=1.0,
+        )
+        fast = set_allocation_state(hp, lp, blocks)
+        with scalar_dp():
+            ref = set_allocation_state(hp, lp, blocks)
+        assert fast == ref
+        for t, row in enumerate(fast):
+            if t * 2 < blocks:
+                assert row is None
+                continue
+            assert row.k_hp == max(0, blocks - t)
+            assert row.energy_nj == 3.0 * blocks
 
 
 class TestPlacementDifferential:

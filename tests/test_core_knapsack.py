@@ -55,8 +55,8 @@ class TestAlgorithm1:
         result = knapsack_min_energy(spaces, t_steps=20, max_blocks=5,
                                      time_step_ns=1.0)
         # 5 blocks at 2 steps each need t >= 10.
-        assert np.isinf(result.dp[-1, 9, 5])
-        assert result.dp[-1, 10, 5] == pytest.approx(25.0)
+        assert np.isinf(result.energy[9, 5])
+        assert result.energy[10, 5] == pytest.approx(25.0)
 
     def test_prefers_cheaper_space_when_feasible(self):
         spaces = [
@@ -93,7 +93,7 @@ class TestAlgorithm1:
         for t in range(16):
             for k in range(6):
                 expected = brute_force(spaces, t, k)
-                got = result.dp[-1, t, k]
+                got = result.energy[t, k]
                 if expected is None:
                     assert np.isinf(got), (t, k)
                 else:
@@ -114,7 +114,7 @@ class TestAlgorithm1:
         spaces = [space(SpaceKind.HP_SRAM, t=1.0, e=1.0, capacity=2)]
         result = knapsack_min_energy(spaces, t_steps=10, max_blocks=4,
                                      time_step_ns=1.0)
-        assert np.isinf(result.dp[-1, 10, 3])
+        assert np.isinf(result.energy[10, 3])
 
     def test_dp_monotone_in_time(self):
         spaces = [
@@ -123,7 +123,7 @@ class TestAlgorithm1:
         ]
         result = knapsack_min_energy(spaces, t_steps=30, max_blocks=6,
                                      time_step_ns=1.0)
-        final = result.dp[-1]
+        final = result.energy
         for k in range(7):
             column = final[:, k]
             finite = column[np.isfinite(column)]
@@ -133,7 +133,11 @@ class TestAlgorithm1:
         spaces = [space(SpaceKind.HP_SRAM, t=1.0, e=1.0)]
         result = knapsack_min_energy(spaces, t_steps=5, max_blocks=3,
                                      time_step_ns=1.0)
-        assert np.all(result.dp[:, :, 0] == 0.0)
+        # Only the final energies are kept: every budget stores zero
+        # blocks for free, and no space's trace takes a block at k = 0.
+        assert result.energy.ndim == 2
+        assert np.all(result.energy[:, 0] == 0.0)
+        assert np.all(result.count[:, :, 0] == 0)
 
     def test_reconstruction_conserves_blocks(self):
         spaces = [

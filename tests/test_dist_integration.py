@@ -130,9 +130,13 @@ class TestKilledWorker:
         grid = tiny_grid(4)
         reference = Engine().run_many(grid).to_json()
         trace_path = tmp_path / "trace.json"
+        # Each worker parks inside its first chunk, well within the
+        # lease, so the first worker cannot finish both chunks before
+        # the second has attached and claimed one.
         results = distributed_sweep(
             grid, tmp_path / "store", workers=2, chunk_size=2,
             log=lambda line: None, timeout=300, trace=trace_path,
+            env={"REPRO_DIST_TEST_STALL_S": "3"},
         )
         assert results.to_json() == reference
 

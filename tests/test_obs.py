@@ -11,11 +11,14 @@ import itertools
 import json
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Engine, ExperimentConfig
+from repro.core import knapsack
+from repro.core.lutcache import temporary_cache_dir
 from repro.obs import events as obs_events
 from repro.obs import profile as obs_profile
 from repro.obs import tracing as obs_tracing
@@ -446,6 +449,62 @@ class TestTracingProperties:
                 assert parent.start_ns <= span.start_ns
                 assert (span.start_ns + span.dur_ns
                         <= parent.start_ns + parent.dur_ns)
+
+
+# -- DP attribution -----------------------------------------------------------------
+
+
+class _TracedAllocations:
+    """Stands in for numpy inside the DP module: every array allocation
+    records a ``test.alloc`` span, so its parent names the open phase."""
+
+    ALLOCATORS = {"full", "zeros", "empty"}
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.ALLOCATORS:
+            return attr
+
+        def allocate(*args, **kwargs):
+            with obs_tracing.span("test.alloc", fn=name):
+                return attr(*args, **kwargs)
+
+        return allocate
+
+
+class TestDpAttribution:
+    def test_cold_build_attributes_tables_and_combine(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(knapsack, "np", _TracedAllocations())
+        config = ExperimentConfig(scenario="case3", slices=5, **TINY)
+        with temporary_cache_dir(tmp_path):
+            tracer = obs_tracing.activate(proc="test", epoch_ns=0)
+            try:
+                Engine().run(config)
+            finally:
+                obs_tracing.deactivate()
+        by_id = {s.id: s for s in tracer.spans}
+
+        def ancestors(span):
+            while span.parent is not None:
+                span = by_id[span.parent]
+                yield span.name
+
+        builds = [s for s in tracer.spans if s.name == "core.dp_build"]
+        combines = [s for s in tracer.spans if s.name == "core.combine"]
+        allocations = [s for s in tracer.spans if s.name == "test.alloc"]
+        assert builds and combines and allocations
+        for span in builds + combines:
+            assert "lutcache.fetch_or_build" in ancestors(span)
+        for span in combines:
+            assert span.args["clusters"] in (1, 2)
+            assert span.args["blocks"] == TINY["block_count"]
+            assert span.args["t_steps"] == TINY["time_steps"]
+        # The energy plane and count trace are allocated inside the
+        # build span, so a cold build leaves no DP time unattributed.
+        for span in allocations:
+            assert by_id[span.parent].name == "core.dp_build"
 
 
 # -- non-perturbation ---------------------------------------------------------------

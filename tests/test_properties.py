@@ -42,7 +42,7 @@ def test_dp_matches_brute_force(instance):
                                  time_step_ns=1.0)
     for t in range(t_steps + 1):
         expected = brute_force(spaces, t, blocks)
-        got = result.dp[-1, t, blocks]
+        got = result.energy[t, blocks]
         if expected is None:
             assert np.isinf(got)
         else:
@@ -56,7 +56,7 @@ def test_dp_reconstruction_is_consistent(instance):
     result = knapsack_min_energy(spaces, t_steps=t_steps, max_blocks=blocks,
                                  time_step_ns=1.0)
     for t in range(t_steps + 1):
-        if not np.isfinite(result.dp[-1, t, blocks]):
+        if not np.isfinite(result.energy[t, blocks]):
             continue
         counts = reconstruct_counts(result, t, blocks)
         assert sum(counts.values()) == blocks
@@ -69,8 +69,8 @@ def test_dp_reconstruction_is_consistent(instance):
             time += taken * by_kind[kind].time_per_block_ns
             energy += taken * by_kind[kind].energy_per_block_nj
         assert time <= t + 1e-9
-        assert energy == np.float64(result.dp[-1, t, blocks]) or (
-            abs(energy - result.dp[-1, t, blocks]) < 1e-9
+        assert energy == np.float64(result.energy[t, blocks]) or (
+            abs(energy - result.energy[t, blocks]) < 1e-9
         )
 
 
@@ -80,7 +80,7 @@ def test_dp_monotone_in_budget(instance):
     spaces, blocks, t_steps = instance
     result = knapsack_min_energy(spaces, t_steps=t_steps, max_blocks=blocks,
                                  time_step_ns=1.0)
-    row = result.dp[-1, :, blocks]
+    row = result.energy[:, blocks]
     finite = row[np.isfinite(row)]
     assert np.all(np.diff(finite) <= 1e-9)
 

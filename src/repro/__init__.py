@@ -52,7 +52,6 @@ from .core.runtime import (
     SliceRecord,
     TimeSliceRuntime,
     default_time_slice_ns,
-    scalar_runtime,
 )
 from .core.spaces import SpaceKind, StorageSpace
 from .errors import ReproError
@@ -104,7 +103,6 @@ __all__ = [
     "SliceRecord",
     "TimeSliceRuntime",
     "default_time_slice_ns",
-    "scalar_runtime",
     "SpaceKind",
     "StorageSpace",
     "ReproError",

@@ -30,7 +30,6 @@ from .knapsack import (
     dp_build_count,
     knapsack_min_energy,
     reconstruct_counts,
-    scalar_dp,
 )
 from .combine import CombinedRow, set_allocation_state, unique_allocation_rows
 from .lut import AllocationLUT, Placement
@@ -47,7 +46,6 @@ __all__ = [
     "dp_build_count",
     "knapsack_min_energy",
     "reconstruct_counts",
-    "scalar_dp",
     "CombinedRow",
     "set_allocation_state",
     "unique_allocation_rows",

@@ -17,7 +17,7 @@ the degenerate splits ``k_hp = 0`` and ``k_lp = 0`` — Fig. 6's "LP-MRAM
 only" region *is* the ``k_hp = 0`` split, so the pseudo-code's 1-based
 loop is read as an off-by-one simplification.
 
-A per-``t`` scalar reference (selected with ``REPRO_SCALAR_DP=1``, like
+A per-``t`` scalar reference (selected with ``REPRO_REFERENCE=1``, like
 the knapsack DP's) is kept for differential testing;
 :func:`unique_allocation_rows` is the LUT builder's fast path, which
 deduplicates identical placements *before* the expensive per-row
@@ -32,7 +32,8 @@ import numpy as np
 
 from ..errors import PlacementError
 from ..obs.tracing import span as _span
-from .knapsack import ClusterDpResult, reconstruct_counts, use_scalar_dp
+from ..reference import use_reference
+from .knapsack import ClusterDpResult, reconstruct_counts
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def set_allocation_state(
     the HP cluster.
     """
     _validate_tables(hp, lp, total_blocks)
-    if use_scalar_dp():
+    if use_reference():
         with _combine_span(hp, lp, total_blocks):
             return _set_allocation_state_scalar(hp, lp, total_blocks)
     t_idx, k_hp, energies, counts_columns = _solve_splits(hp, lp, total_blocks)

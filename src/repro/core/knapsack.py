@@ -28,53 +28,29 @@ Two implementations share this module: the *scalar* reference — a
 paper-faithful per-element translation of the recurrence — and the
 *vectorized* production path, which runs the same update order through
 whole-array NumPy operations and produces bit-identical tables.  The
-scalar path is selected with ``REPRO_SCALAR_DP=1`` (or the
-:func:`scalar_dp` context manager) and exists as the oracle the
-differential tests check the fast path against.
+scalar path is selected by the one reference switch
+(``REPRO_REFERENCE=1`` or :func:`repro.reference.reference`) and exists
+as the oracle the differential tests check the fast path against.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError, PlacementError
 from ..obs.tracing import span as _span
+from ..reference import use_reference
 
 #: Process-wide count of DP table constructions, for cache verification
 #: (a warm persistent-cache run must leave this untouched).
 _DP_BUILDS = 0
 
-#: Programmatic override of the REPRO_SCALAR_DP environment switch.
-_FORCE_SCALAR: bool | None = None
-
 
 def dp_build_count() -> int:
     """How many DP tables this process has actually computed."""
     return _DP_BUILDS
-
-
-def use_scalar_dp() -> bool:
-    """Whether the scalar reference implementation is selected."""
-    if _FORCE_SCALAR is not None:
-        return _FORCE_SCALAR
-    value = os.environ.get("REPRO_SCALAR_DP", "").strip().lower()
-    return value in {"1", "true", "yes", "on"}
-
-
-@contextmanager
-def scalar_dp(enabled: bool = True):
-    """Force the scalar (or vectorized) path for the enclosed block."""
-    global _FORCE_SCALAR
-    previous = _FORCE_SCALAR
-    _FORCE_SCALAR = enabled
-    try:
-        yield
-    finally:
-        _FORCE_SCALAR = previous
 
 
 @dataclass(frozen=True)
@@ -153,7 +129,7 @@ def knapsack_min_energy(
     step_counts = tuple(
         _step_count(space.time_per_block_ns, time_step_ns) for space in spaces
     )
-    scalar = use_scalar_dp()
+    scalar = use_reference()
     with _span(
         "core.dp_build", spaces=n, t_steps=t_steps, blocks=max_blocks,
         scalar=scalar,

@@ -48,6 +48,7 @@ from enum import Enum
 from pathlib import Path
 
 from ..obs.tracing import span as _span
+from ..reference import _env_override
 
 #: Bump when a change alters what cached payloads contain or mean.
 CACHE_VERSION = 1
@@ -97,15 +98,8 @@ def temporary_cache_dir(path):
     for guaranteed cold/warm pairs and by the test suites for hermetic
     runs.
     """
-    previous = os.environ.get("REPRO_LUT_CACHE")
-    os.environ["REPRO_LUT_CACHE"] = str(path)
-    try:
+    with _env_override("REPRO_LUT_CACHE", str(path)):
         yield Path(path)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_LUT_CACHE", None)
-        else:
-            os.environ["REPRO_LUT_CACHE"] = previous
 
 
 # -- content addressing ----------------------------------------------------------

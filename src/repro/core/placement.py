@@ -24,9 +24,10 @@ from ..arch.specs import ArchitectureSpec
 from ..errors import ConfigurationError, InfeasibleError, PlacementError
 from ..isa.encoding import ClusterId
 from ..pim.cluster import PIMCluster
+from ..reference import use_reference
 from ..workloads.models import ModelSpec
 from .combine import set_allocation_state, unique_allocation_rows
-from .knapsack import knapsack_min_energy, use_scalar_dp
+from .knapsack import knapsack_min_energy
 from .lut import AllocationLUT, Placement
 from .spaces import PIM_LATENCY_SCALE, SpaceKind, StorageSpace, build_spaces
 
@@ -206,7 +207,7 @@ class DataPlacementOptimizer:
                     raise PlacementError("no usable spaces after restriction")
                 # Single-cluster LP-only restriction: 1-cluster path.
                 hp_table, lp_table = lp_table, None
-            if use_scalar_dp():
+            if use_reference():
                 rows = set_allocation_state(
                     hp_table, lp_table, self.block_count
                 )

@@ -23,15 +23,13 @@ placement)`` transitions, and the per-slice busy/idle/energy columns are
 assembled as NumPy gathers over the resulting state table.  Both paths
 produce bit-identical :class:`SliceRecord` streams (the accounting
 arithmetic is executed exactly once per distinct state, by the same
-code); the scalar path is selected with ``REPRO_SCALAR_RUNTIME=1`` or
-the :func:`scalar_runtime` context manager, mirroring the
-``REPRO_SCALAR_DP`` switch of :mod:`repro.core.knapsack`.
+code); the scalar path is selected by the one reference switch
+(``REPRO_REFERENCE=1`` or :func:`repro.reference.reference`), which
+also selects the scalar DP of :mod:`repro.core.knapsack`.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +37,7 @@ import numpy as np
 from ..arch.specs import ArchitectureSpec, HH_PIM
 from ..errors import ConfigurationError, InfeasibleError
 from ..memory.hybrid import BankKind
+from ..reference import use_reference
 from ..workloads.models import ModelSpec
 from ..workloads.scenarios import Scenario
 from ..workloads.tasks import TaskBuffer
@@ -62,30 +61,6 @@ FINE_GRANULE_BYTES = 16 * 1024
 #: Macro-level gating (whole 64 kB banks), for gating-granularity
 #: ablations.
 MACRO_GRANULE_BYTES = 64 * 1024
-
-#: Programmatic override of the REPRO_SCALAR_RUNTIME environment switch.
-_FORCE_SCALAR_RUNTIME: bool | None = None
-
-
-def use_scalar_runtime() -> bool:
-    """Whether the scalar reference slice loop is selected."""
-    if _FORCE_SCALAR_RUNTIME is not None:
-        return _FORCE_SCALAR_RUNTIME
-    value = os.environ.get("REPRO_SCALAR_RUNTIME", "").strip().lower()
-    return value in {"1", "true", "yes", "on"}
-
-
-@contextmanager
-def scalar_runtime(enabled: bool = True):
-    """Force the scalar (or vectorized) slice loop for the enclosed block."""
-    global _FORCE_SCALAR_RUNTIME
-    previous = _FORCE_SCALAR_RUNTIME
-    _FORCE_SCALAR_RUNTIME = enabled
-    try:
-        yield
-    finally:
-        _FORCE_SCALAR_RUNTIME = previous
-
 
 @dataclass(frozen=True)
 class SliceRecord:
@@ -440,10 +415,10 @@ class TimeSliceRuntime:
         """Execute a scenario; returns per-slice records and totals.
 
         Dispatches to the vectorized driver unless the scalar reference
-        loop is forced (``REPRO_SCALAR_RUNTIME=1`` / :func:`scalar_runtime`).
+        loop is forced (``REPRO_REFERENCE=1`` / :func:`repro.reference.reference`).
         Both drivers produce bit-identical records.
         """
-        if use_scalar_runtime():
+        if use_reference():
             return self.run_scalar(scenario)
         return self.run_vectorized(scenario)
 

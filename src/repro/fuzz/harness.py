@@ -13,11 +13,10 @@ through the real engine and checked against five invariants:
     (full ``to_dict`` payloads compared, floats included).
 ``scalar_differential``
     The vectorized fast paths are bit-identical to their scalar
-    references: the slice runtime under
-    :func:`~repro.core.runtime.scalar_runtime`, the QoS event loop
-    under :func:`~repro.qos.queueing.scalar_qos`, and (capped per run —
-    scalar LUT builds are ~1s each) the allocation DP under
-    :func:`~repro.core.knapsack.scalar_dp` on a fresh engine.
+    references, each run under :func:`~repro.reference.reference`: the
+    slice runtime, the QoS event loop, and (capped per run — scalar LUT
+    builds are ~1s each) the allocation DP with the slice runtime on a
+    fresh engine.
 ``spill_resume``
     ``run_many`` exports are byte-identical across the in-memory,
     spill-to-store, and resume-from-store paths.
@@ -51,11 +50,9 @@ from dataclasses import dataclass
 
 from ..api.engine import Engine
 from ..api.registry import SCENARIOS
-from ..core.knapsack import scalar_dp
-from ..core.runtime import scalar_runtime
 from ..errors import ReproError
 from ..obs import events as _events
-from ..qos.queueing import scalar_qos
+from ..reference import reference
 from ..store.store import Store
 from .generator import FuzzCase, generate_cases
 from .shrink import shrink_case
@@ -123,7 +120,7 @@ def _check_batch(case: FuzzCase, config, scenario, engine, violations):
         violations.append(Violation(
             "determinism", "batch path differs across identical runs"
         ))
-    with scalar_runtime(True):
+    with reference():
         scalar = snapshot()
     if first != scalar:
         violations.append(Violation(
@@ -165,7 +162,7 @@ def _check_qos(case: FuzzCase, config, scenario, engine, violations):
         violations.append(Violation(
             "determinism", "qos path differs across identical runs"
         ))
-    with scalar_qos(True):
+    with reference():
         scalar = engine.run_qos(config, scenario=scenario).to_dict()
     if payload != scalar:
         violations.append(Violation(
@@ -253,7 +250,7 @@ def _check_dp(case: FuzzCase, config, engine, dp_checked, violations) -> None:
     vector = Engine(use_disk_cache=False).run_record(
         single, scenario=case.scenario()
     ).result.to_dict()
-    with scalar_dp(True):
+    with reference():
         scalar = Engine(use_disk_cache=False).run_record(
             single, scenario=case.scenario()
         ).result.to_dict()

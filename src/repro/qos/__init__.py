@@ -20,9 +20,10 @@ Two engines share the simulator's semantics: the *vectorized* batch
 engine (columnar :class:`RequestBatch` streams, one lexsort per queue,
 memoized placement prices, array SLO folds) is the production path; the
 original per-event discrete-event loop is the scalar reference, selected
-with ``REPRO_SCALAR_QOS=1`` or :func:`scalar_qos` — mirroring
-``REPRO_SCALAR_DP`` / ``REPRO_SCALAR_RUNTIME``.  Both produce
-bit-identical results; the differential suite pins it.
+with the one reference switch (``REPRO_REFERENCE=1`` or
+:func:`repro.reference.reference`) that also selects the scalar DP and
+slice loop.  Both produce bit-identical results; the differential suite
+pins it.
 """
 
 from .autoscale import (
@@ -42,8 +43,6 @@ from .queueing import (
     QoSSimulator,
     QueueDiscipline,
     make_discipline,
-    scalar_qos,
-    use_scalar_qos,
 )
 from .requests import (
     DEFAULT_CLASSES,
@@ -71,8 +70,6 @@ __all__ = [
     "QoSSimulator",
     "QueueDiscipline",
     "make_discipline",
-    "scalar_qos",
-    "use_scalar_qos",
     "DEFAULT_CLASSES",
     "INTERACTIVE_MIX",
     "Request",

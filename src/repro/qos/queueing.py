@@ -37,9 +37,6 @@ exhausted (the remainder is reported as ``unfinished``).
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
 from ..core.runtime import SliceRecord, TimeSliceRuntime
@@ -47,7 +44,8 @@ from ..errors import QoSError
 from ..obs import events as _events
 from ..obs.tracing import span as _span
 from ..plugins import coerce_spec
-from ..serving.dispatch import make_policy
+from ..reference import reference, use_reference
+from ..serving.dispatch import assign_shares, make_policy
 from ..serving.fleet import device_info
 from ..sim.events import EventQueue
 from .autoscale import ScaleObservation, make_autoscaler
@@ -67,32 +65,11 @@ __all__ = [
     "BUILTIN_DISCIPLINES",
     "make_discipline",
     "QoSSimulator",
-    "use_scalar_qos",
-    "scalar_qos",
 ]
 
-#: Programmatic override of the REPRO_SCALAR_QOS environment switch.
-_FORCE_SCALAR_QOS: bool | None = None
-
-
-def use_scalar_qos() -> bool:
-    """Whether the scalar reference QoS event loop is selected."""
-    if _FORCE_SCALAR_QOS is not None:
-        return _FORCE_SCALAR_QOS
-    value = os.environ.get("REPRO_SCALAR_QOS", "").strip().lower()
-    return value in {"1", "true", "yes", "on"}
-
-
-@contextmanager
-def scalar_qos(enabled: bool = True):
-    """Force the scalar (or vectorized) QoS engine for the enclosed block."""
-    global _FORCE_SCALAR_QOS
-    previous = _FORCE_SCALAR_QOS
-    _FORCE_SCALAR_QOS = enabled
-    try:
-        yield
-    finally:
-        _FORCE_SCALAR_QOS = previous
+#: Compatibility name for :func:`repro.reference.reference`, kept only
+#: for the benchmark's scalar-prefix check (``perfbench/qos_overload.py``).
+scalar_qos = reference
 
 
 # -- queue disciplines ----------------------------------------------------------------
@@ -303,39 +280,16 @@ class QoSSimulator:
     def _device_infos(self, size: int) -> tuple:
         return tuple(device_info(i, self.runtime) for i in range(size))
 
-    def _dispatch_shares(
-        self, index: int, staged_count: int, fleet_count: int
-    ) -> list:
-        """Validated per-device dispatch counts for one window.
-
-        Shared by both engines: the policy's contract covers only the
-        counts — requests are dealt contiguously in time order, and each
-        device re-sorts its queue by the discipline anyway.
-        """
-        shares = list(self.policy.assign(index, staged_count))
-        if len(shares) != fleet_count:
-            raise QoSError(
-                f"dispatch policy {self.policy.name!r} returned "
-                f"{len(shares)} shares for {fleet_count} devices"
-            )
-        if any(
-            not isinstance(s, int) or isinstance(s, bool) or s < 0
-            for s in shares
-        ):
-            raise QoSError(
-                f"dispatch policy {self.policy.name!r} produced an invalid "
-                f"share in window {index}: {shares}"
-            )
-        if sum(shares) != staged_count:
-            raise QoSError(
-                f"dispatch policy {self.policy.name!r} dropped or invented "
-                f"requests in window {index}: {sum(shares)} != {staged_count}"
-            )
-        return shares
-
     def _dispatch(self, index: int, staged: list, fleet: list) -> list:
-        """Split staged requests across the fleet; returns per-device counts."""
-        shares = self._dispatch_shares(index, len(staged), len(fleet))
+        """Split staged requests across the fleet; returns per-device counts.
+
+        The policy's contract covers only the counts: requests are dealt
+        contiguously in time order, and each device re-sorts its queue
+        by the discipline anyway.
+        """
+        shares = assign_shares(
+            self.policy, index, len(staged), len(fleet), "window"
+        )
         cursor = 0
         for device, share in zip(fleet, shares):
             device.queue.extend(staged[cursor : cursor + share])
@@ -412,14 +366,14 @@ class QoSSimulator:
         """Simulate the scenario's request stream; returns a QoSResult.
 
         Dispatches to the vectorized batch engine unless the scalar
-        reference event loop is forced (``REPRO_SCALAR_QOS=1`` /
-        :func:`scalar_qos`) or the discipline provides no
+        reference event loop is forced (``REPRO_REFERENCE=1`` /
+        :func:`repro.reference.reference`) or the discipline provides no
         :meth:`QueueDiscipline.vector_keys`.  Both engines produce
         bit-identical results (the differential suite pins it).
         ``requests`` accepts a tuple of :class:`Request`, a
         :class:`RequestBatch`, or ``None`` to sample the scenario.
         """
-        if use_scalar_qos():
+        if use_reference():
             return self.run_scalar(scenario, requests=requests, seed=seed)
         return self.run_vectorized(scenario, requests=requests, seed=seed)
 
@@ -799,7 +753,9 @@ class QoSSimulator:
                 # 2. dispatch the staged requests: sort each chunk by global
                 #    discipline rank, then merge it into the device's
                 #    standing (already-ordered) queue.
-                shares = self._dispatch_shares(index, len(staged), len(fleet))
+                shares = assign_shares(
+                    self.policy, index, len(staged), len(fleet), "window"
+                )
                 cursor = 0
                 for device, share in zip(fleet, shares):
                     if share:

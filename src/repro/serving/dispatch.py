@@ -4,8 +4,8 @@ A :class:`DispatchPolicy` decides, slice by slice, how many of the
 slice's arrivals each device receives.  Policies are stateful over one
 run (:meth:`DispatchPolicy.start` resets them), deterministic, and obey
 one contract: the returned assignment has one non-negative entry per
-device and sums to the slice's arrivals — :class:`repro.serving.fleet.Fleet`
-enforces it.
+device and sums to the slice's arrivals — :func:`assign_shares` enforces
+it for both :class:`repro.serving.fleet.Fleet` and the QoS simulator.
 
 Built-ins (also registered in :data:`repro.api.registry.DISPATCH`):
 
@@ -32,6 +32,7 @@ __all__ = [
     "EnergyAware",
     "BUILTIN_POLICIES",
     "make_policy",
+    "assign_shares",
 ]
 
 
@@ -194,3 +195,33 @@ def make_policy(policy) -> DispatchPolicy:
         kind="dispatch policy",
         error_cls=ServingError,
     )
+
+
+def assign_shares(
+    policy: DispatchPolicy, index: int, arrivals: int, devices: int, unit: str
+) -> list:
+    """``policy.assign(index, arrivals)``, checked against the contract.
+
+    Raises :class:`~repro.errors.ServingError` naming ``unit`` (a fleet
+    slice or a QoS window) unless the assignment holds one non-negative
+    ``int`` per device and sums to ``arrivals``.
+    """
+    shares = list(policy.assign(index, arrivals))
+    if len(shares) != devices:
+        raise ServingError(
+            f"dispatch policy {policy.name!r} returned "
+            f"{len(shares)} shares for {devices} devices"
+        )
+    if any(
+        not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in shares
+    ):
+        raise ServingError(
+            f"dispatch policy {policy.name!r} produced an invalid share "
+            f"in {unit} {index}: {shares}"
+        )
+    if sum(shares) != arrivals:
+        raise ServingError(
+            f"dispatch policy {policy.name!r} dropped or invented arrivals "
+            f"in {unit} {index}: {sum(shares)} != {arrivals}"
+        )
+    return shares

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from ..core.runtime import TimeSliceRuntime
 from ..errors import ServingError
 from ..workloads.scenarios import Scenario
-from .dispatch import DeviceInfo, DispatchPolicy, make_policy
+from .dispatch import DeviceInfo, DispatchPolicy, assign_shares, make_policy
 
 __all__ = ["Fleet", "FleetResult", "device_info"]
 
@@ -177,33 +177,13 @@ class Fleet:
         """The per-device load split for a scenario (without running it).
 
         Returns one per-slice load tuple per device.  Enforces the
-        dispatch contract per slice: one non-negative integer share per
-        device, summing to the slice's arrivals.
+        dispatch contract (:func:`assign_shares`) per slice.
         """
         self.policy.start(self.devices)
         n_devices = len(self.runtimes)
         per_device = [[] for _ in range(n_devices)]
         for index, load in enumerate(scenario.loads):
-            shares = list(self.policy.assign(index, load))
-            if len(shares) != n_devices:
-                raise ServingError(
-                    f"dispatch policy {self.policy.name!r} returned "
-                    f"{len(shares)} shares for {n_devices} devices"
-                )
-            if any(
-                not isinstance(s, int) or isinstance(s, bool) or s < 0
-                for s in shares
-            ):
-                raise ServingError(
-                    f"dispatch policy {self.policy.name!r} produced an "
-                    f"invalid share in slice {index}: {shares}"
-                )
-            if sum(shares) != load:
-                raise ServingError(
-                    f"dispatch policy {self.policy.name!r} dropped or "
-                    f"invented arrivals in slice {index}: "
-                    f"{sum(shares)} != {load}"
-                )
+            shares = assign_shares(self.policy, index, load, n_devices, "slice")
             for device, share in enumerate(shares):
                 per_device[device].append(share)
         return tuple(tuple(loads) for loads in per_device)

@@ -50,6 +50,7 @@ from ..core import lutcache
 from ..errors import ConfigurationError
 from ..obs import events as _events
 from ..obs.tracing import span as _span
+from ..reference import _env_override
 
 #: Bump when a change alters what stored payloads contain or mean.
 STORE_VERSION = 1
@@ -93,15 +94,8 @@ def temporary_store_dir(path):
     Routes through ``REPRO_STORE`` (restored on exit) so subprocesses —
     CLI invocations under test, shard workers — inherit the redirection.
     """
-    previous = os.environ.get("REPRO_STORE")
-    os.environ["REPRO_STORE"] = str(path)
-    try:
+    with _env_override("REPRO_STORE", str(path)):
         yield Path(path)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_STORE", None)
-        else:
-            os.environ["REPRO_STORE"] = previous
 
 
 def record_kind(config: ExperimentConfig) -> str:

@@ -4,8 +4,8 @@ The vectorized production path must be *bit-identical* to the scalar
 per-element translation of the paper's recurrences — same final
 ``energy`` plane and ``count`` traces, same allocation-state rows, same
 chosen :class:`~repro.core.lut.Placement` rows — across randomized
-spaces, budgets and capacities.  ``REPRO_SCALAR_DP=1`` (or the
-:func:`scalar_dp` context manager) selects the reference.
+spaces, budgets and capacities.  ``REPRO_REFERENCE=1`` (or the
+:func:`repro.reference.reference` context manager) selects the reference.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from repro.core.knapsack import (
     dp_build_count,
     knapsack_min_energy,
     reconstruct_counts,
-    scalar_dp,
-    use_scalar_dp,
 )
 from repro.core.placement import DataPlacementOptimizer
 from repro.core.spaces import SpaceKind, StorageSpace
+from repro.reference import reference
 from repro.workloads import EFFICIENTNET_B0
 
 
@@ -69,7 +68,7 @@ class TestKnapsackDifferential:
         fast = knapsack_min_energy(
             spaces, t_steps=t_steps, max_blocks=max_blocks, time_step_ns=1.0
         )
-        with scalar_dp():
+        with reference():
             ref = knapsack_min_energy(
                 spaces, t_steps=t_steps, max_blocks=max_blocks,
                 time_step_ns=1.0,
@@ -99,7 +98,7 @@ class TestKnapsackDifferential:
         fast = knapsack_min_energy(
             spaces, t_steps=310, max_blocks=300, time_step_ns=1.0
         )
-        with scalar_dp():
+        with reference():
             ref = knapsack_min_energy(
                 spaces, t_steps=310, max_blocks=300, time_step_ns=1.0
             )
@@ -109,18 +108,6 @@ class TestKnapsackDifferential:
         for t in (300, 305, 310):
             counts = reconstruct_counts(fast, t, 300)
             assert sum(counts.values()) == 300
-
-    def test_environment_variable_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_DP", "1")
-        assert use_scalar_dp()
-        monkeypatch.setenv("REPRO_SCALAR_DP", "0")
-        assert not use_scalar_dp()
-
-    def test_context_manager_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_DP", "1")
-        with scalar_dp(False):
-            assert not use_scalar_dp()
-        assert use_scalar_dp()
 
     def test_build_counter_increments_per_table(self):
         spaces = [make_space(SpaceKind.HP_SRAM, 1.0, 1.0, 1000)]
@@ -159,7 +146,7 @@ class TestCombineDifferential:
     def test_two_cluster_rows_identical(self, seed):
         hp, lp, blocks = self.tables(2000 + seed)
         fast = set_allocation_state(hp, lp, blocks)
-        with scalar_dp():
+        with reference():
             ref = set_allocation_state(hp, lp, blocks)
         assert fast == ref
 
@@ -167,7 +154,7 @@ class TestCombineDifferential:
     def test_single_cluster_rows_identical(self, seed):
         hp, _, blocks = self.tables(3000 + seed)
         fast = set_allocation_state(hp, None, blocks)
-        with scalar_dp():
+        with reference():
             ref = set_allocation_state(hp, None, blocks)
         assert fast == ref
 
@@ -198,7 +185,7 @@ class TestCombineDifferential:
             t_steps=t_steps, max_blocks=blocks, time_step_ns=1.0,
         )
         fast = set_allocation_state(hp, lp, blocks)
-        with scalar_dp():
+        with reference():
             ref = set_allocation_state(hp, lp, blocks)
         assert fast == ref
         for t, row in enumerate(fast):
@@ -219,14 +206,14 @@ class TestPlacementDifferential:
 
     def test_lut_candidates_identical(self, optimizer):
         fast = optimizer.build_lut()
-        with scalar_dp():
+        with reference():
             ref = optimizer.build_lut()
         assert fast.candidates == ref.candidates
 
     def test_restricted_lut_identical(self, optimizer):
         mram = [SpaceKind.HP_MRAM, SpaceKind.LP_MRAM]
         fast = optimizer.build_lut(restrict_to=mram)
-        with scalar_dp():
+        with reference():
             ref = optimizer.build_lut(restrict_to=mram)
         assert fast.candidates == ref.candidates
 
@@ -236,6 +223,6 @@ class TestPlacementDifferential:
             block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS,
         )
         fast = optimizer.build_lut()
-        with scalar_dp():
+        with reference():
             ref = optimizer.build_lut()
         assert fast.candidates == ref.candidates

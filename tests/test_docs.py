@@ -120,6 +120,5 @@ class TestArchitectureDoc:
             assert bench in text, f"{bench} missing from the artifact table"
 
     def test_differential_convention_is_written_down(self, text):
-        for marker in ("REPRO_SCALAR_DP", "REPRO_SCALAR_RUNTIME",
-                       "scalar_dp()", "scalar_runtime()", "bit-identical"):
+        for marker in ("REPRO_REFERENCE", "reference()", "bit-identical"):
             assert marker in text

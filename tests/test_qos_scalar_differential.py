@@ -6,8 +6,8 @@ per-window :class:`QoSSliceStats` (latency percentiles included), every
 per-device :class:`SliceRecord`, every summary aggregate — across the
 six Fig. 4 presets, fleet shapes, queue disciplines and batch sizes,
 plus the stress states the presets never reach (overload with drain,
-autoscaling, multi-class mixes).  Mirrors the ``REPRO_SCALAR_DP`` and
-``REPRO_SCALAR_RUNTIME`` differential suites.
+autoscaling, multi-class mixes).  Mirrors the DP and slice-runtime
+differential suites.
 """
 
 import pytest
@@ -20,10 +20,9 @@ from repro.qos import (
     RequestBatch,
     sample_request_batch,
     sample_requests,
-    scalar_qos,
-    use_scalar_qos,
 )
 from repro.qos.queueing import Fifo, QueueDiscipline
+from repro.reference import reference
 from repro.workloads import ALL_CASES, bursty, scenario
 
 TINY = dict(block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS)
@@ -42,9 +41,9 @@ def run_both(runtime, workload, requests=None, **kwargs):
             workload, requests=requests
         )
 
-    with scalar_qos(False):
+    with reference(False):
         fast = run()
-    with scalar_qos():
+    with reference():
         slow = run()
     return fast, slow
 
@@ -122,9 +121,9 @@ class TestStressStates:
             )
             return sim.run(workload)
 
-        with scalar_qos(False):
+        with reference(False):
             fast = run("fast")
-        with scalar_qos():
+        with reference():
             run("slow")
         assert seen["fast"] == seen["slow"]
         assert tuple(seen["fast"]) == fast.slices
@@ -158,13 +157,6 @@ class TestRequestPlumbing:
 
 
 class TestDispatchSwitch:
-    def test_env_flag_selects_the_scalar_engine(self, hh_runtime,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_QOS", "1")
-        assert use_scalar_qos()
-        with scalar_qos(False):
-            assert not use_scalar_qos()
-
     def test_custom_discipline_falls_back_to_scalar(self, hh_runtime):
         """No vector keys -> run() silently uses the event engine."""
 
@@ -181,11 +173,11 @@ class TestDispatchSwitch:
         custom = QoSSimulator(
             hh_runtime, devices=1, discipline=ReverseFifo(), batch=1
         ).run(workload)
-        with scalar_qos():
-            reference = QoSSimulator(
+        with reference():
+            scalar = QoSSimulator(
                 hh_runtime, devices=1, discipline=ReverseFifo(), batch=1
             ).run(workload)
-        assert custom.to_dict(include_records=True) == reference.to_dict(
+        assert custom.to_dict(include_records=True) == scalar.to_dict(
             include_records=True
         )
 

@@ -3,15 +3,15 @@
 The vectorized driver must produce *bit-identical* ``SliceRecord``
 streams to the retained scalar reference loop on every Fig. 4 case and
 every Table I architecture, plus DSL-built scenarios whose load ranges
-exercise states the presets never reach.  Mirrors the
-``REPRO_SCALAR_DP`` differential suite of ``tests/test_core_fastpath.py``.
+exercise states the presets never reach.  Mirrors the DP differential
+suite of ``tests/test_core_fastpath.py``.
 """
 
 import pytest
 
 from _shared import SMALL_BLOCKS, SMALL_STEPS
 from repro.api import Engine, ExperimentConfig
-from repro.core.runtime import scalar_runtime, use_scalar_runtime
+from repro.reference import reference, use_reference
 from repro.workloads import ALL_CASES, bursty, diurnal, poisson, scenario
 
 ARCH_NAMES = ("Baseline-PIM", "Heterogeneous-PIM", "Hybrid-PIM", "HH-PIM")
@@ -60,20 +60,14 @@ class TestSwitch:
         runtime = runtimes["HH-PIM"]
         workload = scenario(ALL_CASES[2], slices=8)
         # Pin both states explicitly so the test also holds on the CI
-        # leg that exports REPRO_SCALAR_RUNTIME=1 for the whole suite.
-        with scalar_runtime(False):
-            assert not use_scalar_runtime()
+        # leg that exports REPRO_REFERENCE=1 for the whole suite.
+        with reference(False):
+            assert not use_reference()
             default = runtime.run(workload)
-        with scalar_runtime():
-            assert use_scalar_runtime()
+        with reference():
+            assert use_reference()
             forced = runtime.run(workload)
         assert_identical(default, forced)
-
-    def test_env_switch(self, runtimes, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_RUNTIME", "1")
-        assert use_scalar_runtime()
-        with scalar_runtime(False):
-            assert not use_scalar_runtime()
 
     def test_engine_runs_identically_under_both_drivers(self):
         config = ExperimentConfig(
@@ -81,7 +75,7 @@ class TestSwitch:
             block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS,
         )
         fast = Engine(use_disk_cache=False).run(config)
-        with scalar_runtime():
+        with reference():
             slow = Engine(use_disk_cache=False).run(config)
         assert_identical(fast, slow)
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from _shared import SMALL_BLOCKS, SMALL_STEPS
 from repro.api import DISPATCH, Engine, ExperimentConfig
 from repro.errors import ConfigurationError, ServingError
+from repro.qos import QoSSimulator
+from repro.reference import reference
 from repro.serving import (
     BUILTIN_POLICIES,
     DispatchPolicy,
@@ -18,6 +20,13 @@ from repro.serving import (
 from repro.workloads import ScenarioCase, arrivals, bursty, scenario
 
 TINY = dict(block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS)
+
+
+class Dropper(DispatchPolicy):
+    name = "dropper"  # breaks the dispatch contract: assigns nothing
+
+    def assign(self, slice_index, arrivals):
+        return [0] * len(self._devices)
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +63,15 @@ class TestDispatchPolicies:
         assert sum(splits[1]) == 0
 
     def test_conservation_enforced(self, hh_runtime):
-        class Dropper(DispatchPolicy):
-            name = "dropper"
-
-            def assign(self, slice_index, arrivals):
-                return [0] * len(self._devices)
-
         fleet = Fleet([hh_runtime] * 2, dispatch=Dropper())
         with pytest.raises(ServingError, match="dropped or invented"):
             fleet.run(scenario(ScenarioCase.LOW_CONSTANT, slices=2))
+
+    @pytest.mark.parametrize("scalar", (False, True), ids=("vector", "scalar"))
+    def test_qos_engines_enforce_conservation(self, hh_runtime, scalar):
+        simulator = QoSSimulator(hh_runtime, devices=2, dispatch=Dropper())
+        with reference(scalar), pytest.raises(ServingError, match="in window"):
+            simulator.run(scenario(ScenarioCase.LOW_CONSTANT, slices=2))
 
     def test_make_policy_coercions(self):
         assert isinstance(make_policy("round_robin"), RoundRobin)

@@ -685,6 +685,7 @@ def _cmd_cache(args) -> str:
         "(set REPRO_LUT_CACHE=off to disable, or to a path to relocate)",
         f"version: v{state['version']}",
         f"entries: {state['entries']} ({state['bytes'] / 1024:.0f} kB)",
+        f"quarantined: {state['quarantined']}",
     ]
     return "\n".join(lines)
 

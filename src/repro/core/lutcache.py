@@ -16,17 +16,17 @@ Design points:
   dicts, enums to ``(type, value)`` pairs, floats to ``repr`` so every
   bit participates) and SHA-256 hashed; a changed spec, model or knob
   lands on a different entry automatically.
-* **Versioning.**  Entries live under a ``v{CACHE_VERSION}`` directory
-  and carry the version + fingerprint in their payload; bumping
-  :data:`CACHE_VERSION` after an algorithm change orphans stale entries
-  without any migration logic.
-* **Concurrent writers.**  Writes go to a unique temp file in the cache
-  directory followed by :func:`os.replace`, so parallel sweep workers
-  racing on the same entry each produce a complete file and the last
-  rename wins atomically.
+* **One entry format.**  Entries are stored through
+  :class:`repro.entries.EntryDir`, the format the experiment store uses
+  too: ``v{CACHE_VERSION}/<fingerprint>.pkl`` payloads carrying their
+  version and key, atomic temp-file writes, and a ``quarantine/``
+  directory for corrupt or mislabelled entries (reported as
+  ``store_quarantine`` events).  Bumping :data:`CACHE_VERSION` after an
+  algorithm change orphans stale entries without any migration logic.
 * **Failure tolerance.**  A missing, corrupt, version-skewed or
-  unreadable entry is a miss; an unwritable cache directory silently
-  degrades to building without persistence.
+  unreadable entry is a miss; a failed write (an unwritable cache
+  directory, an unpicklable value) degrades to building without
+  persistence.
 
 Controls: the ``REPRO_LUT_CACHE`` environment variable points the cache
 somewhere else, or disables it entirely when set to ``0``/``off``;
@@ -40,37 +40,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
+from ..entries import EntryDir, EntryStats, default_root
 from ..obs.tracing import span as _span
 from ..reference import _env_override
 
 #: Bump when a change alters what cached payloads contain or mean.
-CACHE_VERSION = 1
+#: v2: payloads are addressed by the shared ``key`` header.
+CACHE_VERSION = 2
 
 _OFF_VALUES = {"0", "off", "no", "false", "disabled"}
 
-
-@dataclass
-class CacheStats:
-    """Observable cache behaviour of this process (tests assert on it)."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    write_failures: int = 0
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.writes = self.write_failures = 0
-
-
 #: Process-wide counters, reset via ``stats.reset()`` in tests.
-stats = CacheStats()
+stats = EntryStats()
 
 
 def enabled() -> bool:
@@ -81,12 +67,12 @@ def enabled() -> bool:
 
 def cache_dir() -> Path:
     """The cache root: ``REPRO_LUT_CACHE`` or the XDG cache default."""
-    override = os.environ.get("REPRO_LUT_CACHE", "").strip()
-    if override and override.lower() not in _OFF_VALUES:
-        return Path(override).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro-hhpim" / "lut"
+    return default_root("REPRO_LUT_CACHE", "lut", ignore=_OFF_VALUES)
+
+
+def _dir() -> EntryDir:
+    # Resolved per call: tests and benchmarks move the cache at run time.
+    return EntryDir(cache_dir(), CACHE_VERSION, "value", stats)
 
 
 @contextmanager
@@ -147,62 +133,17 @@ def fingerprint(*parts) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _entry_path(digest: str) -> Path:
-    return cache_dir() / f"v{CACHE_VERSION}" / f"{digest}.pkl"
-
-
 # -- load / store ----------------------------------------------------------------
 
 
 def load(digest: str):
     """The cached value for a fingerprint, or ``None`` on any miss."""
-    path = _entry_path(digest)
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except Exception:
-        # Missing, truncated, unpicklable, permission-denied: all misses.
-        stats.misses += 1
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != CACHE_VERSION
-        or payload.get("fingerprint") != digest
-    ):
-        stats.misses += 1
-        return None
-    stats.hits += 1
-    return payload["value"]
+    return _dir().get(digest)
 
 
 def store(digest: str, value) -> bool:
-    """Persist a value under its fingerprint; False if the write failed.
-
-    The payload is written to a unique sibling temp file and atomically
-    renamed into place, so concurrent writers (sweep workers racing on
-    the same LUT) never expose a partial entry.
-    """
-    path = _entry_path(digest)
-    payload = {
-        "version": CACHE_VERSION,
-        "fingerprint": digest,
-        "value": value,
-    }
-    temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(temp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(temp, path)
-    except OSError:
-        stats.write_failures += 1
-        try:
-            temp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        return False
-    stats.writes += 1
-    return True
+    """Persist a value under its fingerprint; False if the write failed."""
+    return _dir().put(digest, value=value)
 
 
 def fetch_or_build(key_parts: tuple, builder):
@@ -227,50 +168,11 @@ def fetch_or_build(key_parts: tuple, builder):
 # -- maintenance -----------------------------------------------------------------
 
 
-def _entries():
-    root = cache_dir()
-    if not root.is_dir():
-        return
-    for version_dir in sorted(root.glob("v*")):
-        if version_dir.is_dir():
-            yield from sorted(version_dir.glob("*.pkl"))
-
-
 def info() -> dict:
     """A serialisable snapshot of the cache for ``repro cache info``."""
-    entries = list(_entries())
-    total = 0
-    for entry in entries:
-        try:
-            total += entry.stat().st_size
-        except OSError:
-            pass
-    return {
-        "path": str(cache_dir()),
-        "enabled": enabled(),
-        "version": CACHE_VERSION,
-        "entries": len(entries),
-        "bytes": total,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "writes": stats.writes,
-    }
+    return {"enabled": enabled(), **_dir().info()}
 
 
 def clear() -> int:
-    """Delete every cache entry (all versions); returns the count."""
-    removed = 0
-    for entry in list(_entries()):
-        try:
-            entry.unlink()
-            removed += 1
-        except OSError:
-            pass
-    root = cache_dir()
-    if root.is_dir():
-        for version_dir in root.glob("v*"):
-            try:
-                version_dir.rmdir()
-            except OSError:
-                pass
-    return removed
+    """Delete every cache file (all versions, quarantine); the count."""
+    return _dir().clear()

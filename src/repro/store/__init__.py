@@ -37,8 +37,6 @@ from .store import (
     KINDS,
     STORE_VERSION,
     Store,
-    StoreStats,
-    default_store_dir,
     record_kind,
     temporary_store_dir,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "KINDS",
     "STORE_VERSION",
     "Store",
-    "StoreStats",
-    "default_store_dir",
     "record_kind",
     "temporary_store_dir",
     "parse_shard",

@@ -12,7 +12,8 @@ store concurrently and a final pass stitches the complete
 :class:`~repro.api.results.ResultSet` back together bit for bit (see
 :mod:`repro.store.sharding`).
 
-The store reuses the conventions that made the LUT cache trustworthy:
+Entries use the one on-disk format the LUT cache uses too
+(:mod:`repro.entries`), so the two share their failure handling:
 
 * **Content addressing.**  Keys come from
   :func:`repro.core.lutcache.fingerprint` over the config's dict form
@@ -23,8 +24,8 @@ The store reuses the conventions that made the LUT cache trustworthy:
   version + key in their payload; bumping :data:`STORE_VERSION` after a
   result-affecting change orphans stale entries with no migration.
 * **Atomic writes.**  Payloads are pickled to a unique temp file and
-  ``os.replace``d into place, so shard workers racing on one store never
-  expose a partial entry.
+  renamed into place, so shard workers racing on one store never
+  expose a partial entry; any failed write degrades to recomputation.
 * **Corruption quarantine.**  An entry that fails to unpickle or whose
   payload disagrees with its address is *moved aside* into
   ``quarantine/`` (not deleted — the bytes may matter for diagnosis),
@@ -37,18 +38,15 @@ The default location is ``$REPRO_STORE`` when set, else
 
 from __future__ import annotations
 
-import os
-import pickle
-import uuid
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from ..api.config import ExperimentConfig
 from ..api.results import FleetRecord, ResultSet, RunRecord
 from ..core import lutcache
+from ..entries import EntryDir, default_root
 from ..errors import ConfigurationError
-from ..obs import events as _events
 from ..obs.tracing import span as _span
 from ..reference import _env_override
 
@@ -59,32 +57,6 @@ STORE_VERSION = 1
 #: can produce, plus ``fuzz`` regression entries persisted by the
 #: invariant harness (see :mod:`repro.fuzz`).
 KINDS = ("run", "fleet", "qos", "fuzz")
-
-
-@dataclass
-class StoreStats:
-    """Observable behaviour of one :class:`Store` (tests assert on it)."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    write_failures: int = 0
-    quarantined: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.hits = self.misses = self.writes = 0
-        self.write_failures = self.quarantined = 0
-
-
-def default_store_dir() -> Path:
-    """The store root: ``$REPRO_STORE`` or the XDG cache default."""
-    override = os.environ.get("REPRO_STORE", "").strip()
-    if override:
-        return Path(override).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro-hhpim" / "store"
 
 
 @contextmanager
@@ -116,21 +88,17 @@ class Store:
     def __init__(self, root=None) -> None:
         """Open (lazily creating) the store at ``root``.
 
-        ``None`` selects :func:`default_store_dir`, so ``Store()`` is
-        the machine-wide store the CLI uses.
+        ``None`` selects ``$REPRO_STORE``, else
+        ``$XDG_CACHE_HOME/repro-hhpim/store``, so ``Store()`` is the
+        machine-wide store the CLI uses.
         """
         self.root = Path(root).expanduser() if root is not None else (
-            default_store_dir()
+            default_root("REPRO_STORE", "store")
         )
-        self.stats = StoreStats()
+        self._dir = EntryDir(self.root, STORE_VERSION, "record")
+        self.stats = self._dir.stats
 
     # -- addressing -------------------------------------------------------------
-
-    def _version_dir(self) -> Path:
-        return self.root / f"v{STORE_VERSION}"
-
-    def _quarantine_dir(self) -> Path:
-        return self.root / "quarantine"
 
     def key_for(self, config: ExperimentConfig, kind: str | None = None) -> str:
         """The entry key of a config: ``<kind>-<sha256>``."""
@@ -141,46 +109,7 @@ class Store:
             )
         return f"{kind}-{config.fingerprint()}"
 
-    def _entry_path(self, key: str) -> Path:
-        return self._version_dir() / f"{key}.pkl"
-
     # -- read -------------------------------------------------------------------
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside (never deleting evidence)."""
-        target = self._quarantine_dir() / f"{path.name}.{uuid.uuid4().hex}"
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-            self.stats.quarantined += 1
-        except OSError:
-            return
-        _events.emit(
-            "store_quarantine", path=str(path), reason="corrupt_entry"
-        )
-
-    def _load_payload(self, path: Path):
-        """The validated payload at ``path``, or ``None`` (quarantining
-        anything unreadable or inconsistent with its address)."""
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Truncated, unpicklable, wrong format: quarantine the bytes.
-            self._quarantine(path)
-            return None
-        key = path.name[: -len(".pkl")]
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != STORE_VERSION
-            or payload.get("key") != key
-            or "record" not in payload
-        ):
-            self._quarantine(path)
-            return None
-        return payload
 
     def get(self, config: ExperimentConfig, kind: str | None = None):
         """The stored record for a config, or ``None`` on any miss.
@@ -190,16 +119,9 @@ class Store:
         ``"qos"`` — or use :meth:`get_qos` — for request-level results.
         """
         with _span("store.get") as trace_span:
-            payload = self._load_payload(
-                self._entry_path(self.key_for(config, kind))
-            )
-            if payload is None:
-                self.stats.misses += 1
-                trace_span.annotate(hit=False)
-                return None
-            self.stats.hits += 1
-            trace_span.annotate(hit=True)
-            return payload["record"]
+            record = self._dir.get(self.key_for(config, kind))
+            trace_span.annotate(hit=record is not None)
+            return record
 
     def get_qos(self, config: ExperimentConfig):
         """The stored :class:`~repro.qos.slo.QoSResult`, or ``None``."""
@@ -207,36 +129,21 @@ class Store:
 
     def __contains__(self, config: ExperimentConfig) -> bool:
         """Whether the config's batch record is stored (no unpickling)."""
-        return self._entry_path(self.key_for(config)).is_file()
+        return self._dir.path(self.key_for(config)).is_file()
 
     # -- write ------------------------------------------------------------------
 
-    def _write(self, key: str, payload: dict) -> bool:
-        with _span("store.put", kind=payload.get("kind")) as trace_span:
-            ok = self._write_entry(key, payload)
+    def _put(self, key: str, kind: str, config, row: dict, record,
+             engine_stats=None) -> bool:
+        with _span("store.put", kind=kind) as trace_span:
+            ok = self._dir.put(
+                key, kind=kind, config=config, row=row, record=record,
+                engine_stats=(
+                    asdict(engine_stats) if engine_stats is not None else None
+                ),
+            )
             trace_span.annotate(ok=ok)
         return ok
-
-    def _write_entry(self, key: str, payload: dict) -> bool:
-        path = self._entry_path(key)
-        temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(temp, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp, path)
-        except Exception:
-            # Unwritable directory, full disk, *or* an unpicklable record
-            # (user-registered specs can carry anything): the contract is
-            # degrade-to-recomputation, never crash a finished sweep.
-            self.stats.write_failures += 1
-            try:
-                temp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        self.stats.writes += 1
-        return True
 
     def put(self, record, engine_stats=None) -> bool:
         """Persist a completed :class:`RunRecord`/:class:`FleetRecord`.
@@ -254,45 +161,27 @@ class Store:
                 f"store holds RunRecord/FleetRecord entries, "
                 f"got {type(record).__name__}"
             )
-        kind = "fleet" if isinstance(record, FleetRecord) else "run"
-        key = self.key_for(record.config, kind)
-        return self._write(key, {
-            "version": STORE_VERSION,
-            "key": key,
-            "kind": kind,
-            "config": record.config.to_dict(),
-            "row": record.to_row(),
-            "record": record,
-            "engine_stats": (
-                asdict(engine_stats) if engine_stats is not None else None
-            ),
-        })
+        return self._put(
+            self.key_for(record.config, record.kind), record.kind,
+            record.config.to_dict(), record.to_row(), record, engine_stats,
+        )
 
     def put_qos(self, config: ExperimentConfig, result,
                 engine_stats=None) -> bool:
         """Persist a :class:`~repro.qos.slo.QoSResult` under its config."""
-        key = self.key_for(config, "qos")
-        return self._write(key, {
-            "version": STORE_VERSION,
-            "key": key,
-            "kind": "qos",
-            "config": config.to_dict(),
-            "row": {
-                "arch": config.arch,
-                "model": config.model,
-                "scenario": config.scenario,
-                "devices": config.fleet,
-                "qos": config.qos,
-                "autoscaler": config.autoscaler,
-                "completed": result.completed,
-                "slo_attainment": result.slo_attainment,
-                "total_energy_nj": result.total_energy_nj,
-            },
-            "record": result,
-            "engine_stats": (
-                asdict(engine_stats) if engine_stats is not None else None
-            ),
-        })
+        row = {
+            "arch": config.arch,
+            "model": config.model,
+            "scenario": config.scenario,
+            "devices": config.fleet,
+            "qos": config.qos,
+            "autoscaler": config.autoscaler,
+            "completed": result.completed,
+            "slo_attainment": result.slo_attainment,
+            "total_energy_nj": result.total_energy_nj,
+        }
+        return self._put(self.key_for(config, "qos"), "qos",
+                         config.to_dict(), row, result, engine_stats)
 
     def put_fuzz(self, entry: dict) -> str | None:
         """Persist a fuzz regression entry; returns its key, or ``None``.
@@ -311,35 +200,47 @@ class Store:
                 "fuzz entry needs a 'case' dict and an 'invariant' name"
             )
         key = f"fuzz-{lutcache.fingerprint('fuzz', case)}"
-        ok = self._write(key, {
-            "version": STORE_VERSION,
-            "key": key,
-            "kind": "fuzz",
-            "config": None,
-            "row": {
-                "seed": case.get("case_seed"),
-                "invariant": entry["invariant"],
-                "program": entry.get("program_label", ""),
-                "arch": case.get("arch", ""),
-                "model": case.get("model", ""),
-                "slices": case.get("slices"),
-            },
-            "record": dict(entry),
-            "engine_stats": None,
-        })
+        row = {
+            "seed": case.get("case_seed"),
+            "invariant": entry["invariant"],
+            "program": entry.get("program_label", ""),
+            "arch": case.get("arch", ""),
+            "model": case.get("model", ""),
+            "slices": case.get("slices"),
+        }
+        ok = self._put(key, "fuzz", None, row, dict(entry))
         return key if ok else None
 
     # -- enumeration ------------------------------------------------------------
 
-    def _entries(self):
-        root = self._version_dir()
-        if not root.is_dir():
-            return
-        yield from sorted(root.glob("*.pkl"))
-
     def keys(self) -> list:
         """Every stored entry key (current version), sorted."""
-        return [path.name[: -len(".pkl")] for path in self._entries()]
+        return [path.name[: -len(".pkl")] for path in self._dir.paths()]
+
+    def _scan(self, caller: str, kinds: tuple, limit: int | None,
+              field: str, expect=dict) -> list:
+        """``(key, payload[field])`` of every valid entry of ``kinds``.
+
+        Sorted by config fingerprint then key (a total order derived
+        from content hashes, never from directory listing order), and
+        restricted to values of type ``expect``; ``limit`` is checked
+        here and applied by the caller after its own filtering.
+        """
+        if limit is not None and limit < 0:
+            raise ConfigurationError(
+                f"{caller} limit must be non-negative, got {limit!r}"
+            )
+        found = []
+        for path in self._dir.paths():
+            if path.name.split("-", 1)[0] not in kinds:
+                continue
+            payload = self._dir.load(path)
+            if payload is not None and isinstance(payload.get(field), expect):
+                found.append((payload["key"], payload[field]))
+        # The key is "<kind>-<fingerprint>"; order by fingerprint
+        # first so run/fleet records of one config sit together.
+        found.sort(key=lambda item: (item[0].split("-", 1)[1], item[0]))
+        return found
 
     def query(self, predicate=None, kind: str | None = None,
               limit: int | None = None, **axes) -> ResultSet:
@@ -375,30 +276,15 @@ class Store:
                 f"entries are not batch records; see Store.qos_rows), "
                 f"got {kind!r}"
             )
-        if limit is not None and limit < 0:
-            raise ConfigurationError(
-                f"query limit must be non-negative, got {limit!r}"
+        kinds = ("run", "fleet") if kind is None else (kind,)
+        results = ResultSet(
+            record for _, record in self._scan(
+                "query", kinds, limit, "record", (RunRecord, FleetRecord)
             )
-        records = []
-        for path in list(self._entries()):
-            if path.name.startswith(("qos-", "fuzz-")):
-                continue
-            if kind is not None and not path.name.startswith(f"{kind}-"):
-                continue
-            payload = self._load_payload(path)
-            if payload is None:
-                continue
-            # The key is "<kind>-<fingerprint>"; order by fingerprint
-            # first so run/fleet records of one config sit together.
-            fingerprint = payload["key"].split("-", 1)[1]
-            records.append((fingerprint, payload["key"], payload["record"]))
-        records.sort(key=lambda item: (item[0], item[1]))
-        results = ResultSet(record for _, _, record in records)
+        )
         if predicate is not None or axes:
             results = results.filter(predicate, **axes)
-        if limit is not None:
-            results = ResultSet(tuple(results)[:limit])
-        return results
+        return ResultSet(tuple(results)[:limit])
 
     def qos_rows(self, limit: int | None = None) -> list:
         """The stored QoS entries' flat summary rows, sorted by key.
@@ -410,22 +296,8 @@ class Store:
         :class:`~repro.qos.slo.QoSResult`.  ``limit`` keeps only the
         first ``limit`` rows of the sorted set.
         """
-        if limit is not None and limit < 0:
-            raise ConfigurationError(
-                f"qos_rows limit must be non-negative, got {limit!r}"
-            )
-        rows = []
-        for path in list(self._entries()):
-            if not path.name.startswith("qos-"):
-                continue
-            payload = self._load_payload(path)
-            if payload is None or not isinstance(payload.get("row"), dict):
-                continue
-            rows.append((payload["key"], payload["row"]))
-        rows.sort(key=lambda item: item[0])
-        if limit is not None:
-            rows = rows[:limit]
-        return [row for _, row in rows]
+        rows = self._scan("qos_rows", ("qos",), limit, "row")
+        return [row for _, row in rows][:limit]
 
     def fuzz_entries(self, predicate=None, limit: int | None = None) -> list:
         """The stored fuzz regression entries, sorted by key.
@@ -437,27 +309,15 @@ class Store:
         sorting; ``limit`` keeps the first ``limit`` survivors — the
         same order every process sees, so replay is deterministic.
         """
-        if limit is not None and limit < 0:
-            raise ConfigurationError(
-                f"fuzz_entries limit must be non-negative, got {limit!r}"
+        entries = [
+            {**record, "key": key}
+            for key, record in self._scan(
+                "fuzz_entries", ("fuzz",), limit, "record"
             )
-        entries = []
-        for path in list(self._entries()):
-            if not path.name.startswith("fuzz-"):
-                continue
-            payload = self._load_payload(path)
-            if payload is None or not isinstance(payload.get("record"), dict):
-                continue
-            entry = dict(payload["record"])
-            entry["key"] = payload["key"]
-            entries.append((payload["key"], entry))
-        entries.sort(key=lambda item: item[0])
-        results = [entry for _, entry in entries]
+        ]
         if predicate is not None:
-            results = [entry for entry in results if predicate(entry)]
-        if limit is not None:
-            results = results[:limit]
-        return results
+            entries = [entry for entry in entries if predicate(entry)]
+        return entries[:limit]
 
     def fuzz_rows(self, limit: int | None = None) -> list:
         """The stored fuzz entries' flat summary rows, sorted by key.
@@ -468,77 +328,27 @@ class Store:
         fuzz`` without reloading whole entries.  ``limit`` keeps only
         the first ``limit`` rows of the sorted set.
         """
-        if limit is not None and limit < 0:
-            raise ConfigurationError(
-                f"fuzz_rows limit must be non-negative, got {limit!r}"
-            )
-        rows = []
-        for path in list(self._entries()):
-            if not path.name.startswith("fuzz-"):
-                continue
-            payload = self._load_payload(path)
-            if payload is None or not isinstance(payload.get("row"), dict):
-                continue
-            rows.append((payload["key"], payload["row"]))
-        rows.sort(key=lambda item: item[0])
-        if limit is not None:
-            rows = rows[:limit]
-        return [row for _, row in rows]
+        rows = self._scan("fuzz_rows", ("fuzz",), limit, "row")
+        return [row for _, row in rows][:limit]
 
     # -- maintenance ------------------------------------------------------------
 
     def info(self) -> dict:
         """A serialisable snapshot for ``repro store info``."""
-        sizes = []
         kinds = dict.fromkeys(KINDS, 0)
-        for path in self._entries():
-            try:
-                sizes.append(path.stat().st_size)
-            except OSError:
-                continue
-            prefix = path.name.split("-", 1)[0]
+        for key in self.keys():
+            prefix = key.split("-", 1)[0]
             if prefix in kinds:
                 kinds[prefix] += 1
             else:
                 # A stray file in the version dir is not ours to crash
-                # over; the read path will quarantine it on contact.
+                # over; reported here, removed by clear().
                 kinds["unrecognized"] = kinds.get("unrecognized", 0) + 1
-        quarantined = (
-            len(list(self._quarantine_dir().glob("*")))
-            if self._quarantine_dir().is_dir()
-            else 0
-        )
-        return {
-            "path": str(self.root),
-            "version": STORE_VERSION,
-            "entries": len(sizes),
-            "by_kind": kinds,
-            "bytes": sum(sizes),
-            "quarantined": quarantined,
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "writes": self.stats.writes,
-        }
+        return {**self._dir.info(), "by_kind": kinds}
 
     def clear(self) -> int:
         """Delete every entry (all versions + quarantine); the count."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for sub in list(self.root.glob("v*")) + [self._quarantine_dir()]:
-            if not sub.is_dir():
-                continue
-            for entry in list(sub.iterdir()):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            try:
-                sub.rmdir()
-            except OSError:
-                pass
-        return removed
+        return self._dir.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Store({str(self.root)!r})"

@@ -62,17 +62,20 @@ class TestStoreLoad:
     def test_corrupt_entry_is_a_miss(self, cache_dir):
         digest = lutcache.fingerprint("corrupt")
         lutcache.store(digest, "payload")
-        path = lutcache._entry_path(digest)
+        path = lutcache._dir().path(digest)
         path.write_bytes(b"\x80not a pickle")
         assert lutcache.load(digest) is None
+        assert lutcache.stats.quarantined == 1
+        assert not path.exists()
+        assert lutcache.info()["quarantined"] == 1
 
     def test_version_skew_is_a_miss(self, cache_dir):
         digest = lutcache.fingerprint("versioned")
-        path = lutcache._entry_path(digest)
+        path = lutcache._dir().path(digest)
         path.parent.mkdir(parents=True)
         payload = {
             "version": lutcache.CACHE_VERSION + 1,
-            "fingerprint": digest,
+            "key": digest,
             "value": "stale",
         }
         path.write_bytes(pickle.dumps(payload))
@@ -82,7 +85,7 @@ class TestStoreLoad:
         digest = lutcache.fingerprint("original")
         lutcache.store(digest, "payload")
         other = lutcache.fingerprint("other")
-        lutcache._entry_path(digest).rename(lutcache._entry_path(other))
+        lutcache._dir().path(digest).rename(lutcache._dir().path(other))
         assert lutcache.load(other) is None
 
     def test_concurrent_writers_last_wins(self, cache_dir):
@@ -105,6 +108,16 @@ class TestStoreLoad:
         value, source = lutcache.fetch_or_build(key, builder)
         assert (value, source) == ("expensive", "disk")
         assert built == [1]
+
+
+    def test_unpicklable_build_is_served_unpersisted(self, cache_dir):
+        value, source = lutcache.fetch_or_build(
+            ("unit", "poison"), lambda: (lambda: 1)
+        )
+        assert source == "built"
+        assert value() == 1
+        assert lutcache.stats.write_failures == 1
+        assert not list(cache_dir.glob("**/*.tmp"))
 
 
 class TestMaintenance:

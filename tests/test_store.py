@@ -109,7 +109,7 @@ class TestCorruptionAndVersioning:
     def test_corrupt_entry_is_quarantined(self, store):
         config = ExperimentConfig(**TINY)
         store.put(Engine(use_disk_cache=False).run_record(config))
-        path = store._entry_path(store.key_for(config))
+        path = store._dir.path(store.key_for(config))
         path.write_bytes(b"not a pickle")
         assert store.get(config) is None
         assert store.stats.quarantined == 1
@@ -124,8 +124,8 @@ class TestCorruptionAndVersioning:
         config = ExperimentConfig(**TINY)
         other = config.replace(seed=99)
         store.put(Engine(use_disk_cache=False).run_record(config))
-        good = store._entry_path(store.key_for(config))
-        bad = store._entry_path(store.key_for(other))
+        good = store._dir.path(store.key_for(config))
+        bad = store._dir.path(store.key_for(other))
         bad.write_bytes(good.read_bytes())
         assert store.get(other) is None
         assert store.stats.quarantined == 1
@@ -343,9 +343,9 @@ class TestResumedSweeps:
         head = store.query(limit=2)
         assert [r.config.fingerprint() for r in head] == fingerprints[:2]
 
-        listing = store._entries
+        listing = store._dir.paths
         monkeypatch.setattr(
-            store, "_entries", lambda: list(listing())[::-1]
+            store._dir, "paths", lambda: list(listing())[::-1]
         )
         assert [
             r.config.fingerprint() for r in store.query()

@@ -45,9 +45,11 @@ from .registry import (
 from .results import (
     AggregateStats,
     FleetRecord,
+    Record,
     ResultSet,
     RunRecord,
     StoredResultSet,
+    record_kind,
 )
 
 __all__ = [
@@ -68,7 +70,9 @@ __all__ = [
     "shared_engine",
     "AggregateStats",
     "FleetRecord",
+    "Record",
     "ResultSet",
     "RunRecord",
     "StoredResultSet",
+    "record_kind",
 ]

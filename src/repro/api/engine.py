@@ -52,7 +52,13 @@ from .registry import (
     QOS,
     SCENARIOS,
 )
-from .results import FleetRecord, ResultSet, RunRecord, StoredResultSet
+from .results import (
+    FleetRecord,
+    ResultSet,
+    RunRecord,
+    StoredResultSet,
+    record_kind,
+)
 
 
 @dataclass
@@ -78,6 +84,14 @@ class EngineStats:
     store_hits: int = 0
     #: Runs the store was consulted for but had to be computed.
     store_misses: int = 0
+
+    def count_lut_source(self, source: str) -> None:
+        """Count one persistent-cache outcome (``disk``/``stored``/
+        ``built``; see :func:`repro.core.lutcache.fetch_or_build`)."""
+        if source == "disk":
+            self.lut_disk_hits += 1
+        elif source == "stored":
+            self.lut_disk_writes += 1
 
 
 @dataclass(frozen=True)
@@ -251,10 +265,7 @@ class Engine:
                 value, source = lutcache.fetch_or_build(
                     ("t_slice",) + key, compute
                 )
-                if source == "disk":
-                    self.stats.lut_disk_hits += 1
-                elif source == "stored":
-                    self.stats.lut_disk_writes += 1
+                self.stats.count_lut_source(source)
             else:
                 value = compute()
             self.stats.dp_builds += dp_build_count() - before
@@ -302,10 +313,7 @@ class Engine:
         self._runtimes[key] = runtime
         self.stats.lut_builds += 1
         self.stats.dp_builds += dp_delta
-        if source == "disk":
-            self.stats.lut_disk_hits += 1
-        elif source == "stored":
-            self.stats.lut_disk_writes += 1
+        self.stats.count_lut_source(source)
         return runtime, False
 
     # -- execution --------------------------------------------------------------
@@ -317,31 +325,21 @@ class Engine:
         Identical inputs produce bit-for-bit identical results to a
         hand-constructed :class:`TimeSliceRuntime` — the engine adds
         caching, never approximation.  Returns a :class:`RunResult` for
-        a single device (``config.fleet == 1``) and a
-        :class:`~repro.serving.fleet.FleetResult` for a fleet.
+        a single device and a :class:`~repro.serving.fleet.FleetResult`
+        for a fleet (see :func:`~repro.api.results.record_kind`).
         """
-        if config.fleet > 1:
-            return self.run_fleet(config, scenario=scenario)
-        return self.run_record(config, scenario=scenario).result
+        return self._record(config, scenario, record_kind(config)).result
 
     def run_record(self, config: ExperimentConfig,
                    scenario: Scenario | None = None) -> RunRecord:
         """Like :meth:`run` but keeps the config and cache provenance."""
-        if config.fleet > 1:
+        if record_kind(config) != "run":
             raise ConfigurationError(
                 f"config asks for a {config.fleet}-device fleet; use "
                 f"Engine.run_fleet / run_fleet_record (or run_many, which "
                 f"batches fleet configs as FleetRecord entries)"
             )
-        with _span("engine.run", label=config.label) as trace_span:
-            runtime, cached = self._runtime_cached(self.resolve(config))
-            workload = (
-                scenario if scenario is not None else self.scenario(config)
-            )
-            result = runtime.run(workload)
-            self.stats.runs += 1
-            trace_span.annotate(lut_cached=cached)
-        return RunRecord(config=config, result=result, lut_cached=cached)
+        return self._record(config, scenario, "run")
 
     def run_fleet(self, config: ExperimentConfig,
                   scenario: Scenario | None = None) -> FleetResult:
@@ -358,21 +356,34 @@ class Engine:
     def run_fleet_record(self, config: ExperimentConfig,
                          scenario: Scenario | None = None) -> FleetRecord:
         """Like :meth:`run_fleet` but keeps the config and provenance."""
+        return self._record(config, scenario, "fleet")
+
+    def _record(self, config: ExperimentConfig, scenario, kind: str):
+        """The one body of :meth:`run_record` and :meth:`run_fleet_record`:
+        a ``run`` executes on the memoized runtime, a ``fleet`` on
+        ``config.fleet`` devices sharing it."""
+        fleet = kind == "fleet"
+        # perfbench and the CI profile smoke read these span names/args.
+        span_args = {"devices": config.fleet} if fleet else {}
         with _span(
-            "engine.fleet", label=config.label, devices=config.fleet
+            "engine.fleet" if fleet else "engine.run",
+            label=config.label, **span_args,
         ) as trace_span:
             runtime, cached = self._runtime_cached(self.resolve(config))
             workload = (
                 scenario if scenario is not None else self.scenario(config)
             )
-            fleet = Fleet(
-                [runtime] * config.fleet,
-                dispatch=DISPATCH.get(config.dispatch),
-            )
-            result = fleet.run(workload)
+            if fleet:
+                result = Fleet(
+                    [runtime] * config.fleet,
+                    dispatch=DISPATCH.get(config.dispatch),
+                ).run(workload)
+            else:
+                result = runtime.run(workload)
             self.stats.runs += 1
             trace_span.annotate(lut_cached=cached)
-        return FleetRecord(config=config, result=result, lut_cached=cached)
+        record_type = FleetRecord if fleet else RunRecord
+        return record_type(config=config, result=result, lut_cached=cached)
 
     def run_qos(self, config: ExperimentConfig,
                 scenario: Scenario | None = None,
@@ -446,15 +457,15 @@ class Engine:
         The single entry point the serving daemon dispatches SUBMIT jobs
         through.  ``kind`` picks the execution path — ``"run"``
         (:meth:`run_record`), ``"fleet"`` (:meth:`run_fleet_record`) or
-        ``"qos"`` (:meth:`run_qos`); ``None`` infers ``"fleet"`` for
-        multi-device configs and ``"run"`` otherwise.  The outcome is the
+        ``"qos"`` (:meth:`run_qos`); ``None`` infers the config's
+        :func:`~repro.api.results.record_kind`.  The outcome is the
         corresponding record/result object, produced by exactly the same
         code path an in-process caller would use — daemon-served results
         are bit-identical to local ones by construction.  ``on_window``
         streams QoS windows (ignored for the other kinds).
         """
         if kind is None:
-            kind = "fleet" if config.fleet > 1 else "run"
+            kind = record_kind(config)
         if kind == "run":
             return kind, self.run_record(config)
         if kind == "fleet":
@@ -475,10 +486,10 @@ class Engine:
                  spill: bool = False) -> ResultSet:
         """Execute a batch of configs; results follow the input order.
 
-        Fleet configs (``fleet > 1``) run serially through
-        :meth:`run_fleet_record` — their devices share one memoized
-        runtime, so there is no LUT work to fan out — and land in the
-        batch as :class:`FleetRecord` entries.  With ``max_workers > 1``
+        Fleet configs (:func:`~repro.api.results.record_kind`) run
+        serially through :meth:`run_fleet_record` — their devices share
+        one memoized runtime, so there is no LUT work to fan out — and
+        land in the batch as :class:`FleetRecord` entries.  With ``max_workers > 1``
         the single-device remainder is partitioned by runtime key and
         each partition runs as one process-pool task, preserving the
         exactly-once LUT construction per (arch, model, resolution)
@@ -631,20 +642,21 @@ class Engine:
         workers = max_workers if max_workers is not None else self.max_workers
         if not configs:
             return ResultSet(())
+        kinds = [record_kind(config) for config in configs]
         if workers is None or workers <= 1 or len(configs) == 1:
             return ResultSet(
-                self.run_fleet_record(c) if c.fleet > 1 else self.run_record(c)
-                for c in configs
+                self._record(config, None, kind)
+                for config, kind in zip(configs, kinds)
             )
-        single = [(i, c) for i, c in enumerate(configs) if c.fleet == 1]
+        single = [i for i, kind in enumerate(kinds) if kind == "run"]
         records: list = [None] * len(configs)
         if single:
-            pooled = self._run_pooled(tuple(c for _, c in single), workers)
-            for (position, _), record in zip(single, pooled):
+            pooled = self._run_pooled(tuple(configs[i] for i in single), workers)
+            for position, record in zip(single, pooled):
                 records[position] = record
-        for position, config in enumerate(configs):
-            if config.fleet > 1:
-                records[position] = self.run_fleet_record(config)
+        for position, kind in enumerate(kinds):
+            if kind == "fleet":
+                records[position] = self._record(configs[position], None, kind)
         return ResultSet(records)
 
     def _run_pooled(self, configs: tuple, workers: int) -> ResultSet:
@@ -686,10 +698,7 @@ class Engine:
                     # process could observe.
                     self._runtimes[key] = runtime
                     self.stats.dp_builds += dp_delta
-                    if source == "disk":
-                        self.stats.lut_disk_hits += 1
-                    elif source == "stored":
-                        self.stats.lut_disk_writes += 1
+                    self.stats.count_lut_source(source)
                     for index, (position, result) in enumerate(group_results):
                         results[position] = result
                         # Mirror the serial path's provenance: the group's

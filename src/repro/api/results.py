@@ -1,14 +1,21 @@
-"""Batched results: filtering, aggregation and export.
+"""Batched results: records, filtering, aggregation and export.
+
+A *record* is one executed experiment: its config, its outcome and
+whether its LUT came from cache.  There are two kinds, and
+:func:`record_kind` is the one rule that says which a config produces:
+:class:`RunRecord` (a single device; ``result`` is a
+:class:`~repro.core.runtime.RunResult`) and :class:`FleetRecord` (a
+multi-device fleet; ``result`` is a
+:class:`~repro.serving.fleet.FleetResult`).  Both inherit one flat
+metric surface from :class:`Record`, computed over the record's
+per-device ``RunResult``s, so each kind only says where those come from
+and which dispatch policy applies.
 
 :class:`ResultSet` is what :meth:`repro.api.engine.Engine.run_many`
-returns — an ordered, immutable collection of :class:`RunRecord`
-(config + its :class:`~repro.core.runtime.RunResult`) and
-:class:`FleetRecord` (config + its
-:class:`~repro.serving.fleet.FleetResult`) entries.  Both record kinds
-expose the same flat metric surface, so one batch can mix single-device
-and fleet experiments and still slice like a sequence, filter by any
-config axis, aggregate energy/latency/deadline statistics per group, and
-export to JSON or CSV with a uniform row schema.
+returns — an ordered, immutable collection of records of either kind
+that slices like a sequence, filters by any config axis, aggregates
+energy/latency/deadline statistics per group, and exports to JSON or CSV
+with one row schema, :data:`ROW_FIELDS`.
 
 :class:`StoredResultSet` is the *spill* variant behind
 ``Engine.run_many(..., spill=True)``: the same interface over records
@@ -23,165 +30,25 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
+from typing import ClassVar
 
-from ..core.runtime import RunResult
 from ..errors import ConfigurationError
-from ..serving.fleet import FleetResult
 from .config import ExperimentConfig
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One executed experiment: the config and its run outcome."""
-
-    config: ExperimentConfig
-    result: RunResult
-    #: Whether the engine served this run's allocation LUT from cache.
-    #: Pure provenance — it never appears in exports, so a record
-    #: reloaded from the experiment store exports identically to the
-    #: freshly computed one.
-    lut_cached: bool = False
-
-    # -- flat accessors (used by filtering/aggregation/export) ------------------
-
-    @property
-    def kind(self) -> str:
-        """The record kind: ``run`` (see :attr:`FleetRecord.kind`)."""
-        return "run"
-
-    @property
-    def arch(self) -> str:
-        """The config's architecture key."""
-        return self.config.arch
-
-    @property
-    def model(self) -> str:
-        """The config's model key."""
-        return self.config.model
-
-    @property
-    def scenario(self) -> str:
-        """The config's scenario key."""
-        return self.config.scenario
-
-    @property
-    def policy(self) -> str:
-        """The *resolved* policy (config may have left it defaulted)."""
-        return self.result.policy.value
-
-    @property
-    def total_energy_nj(self) -> float:
-        """Energy of the whole run, in nanojoules."""
-        return self.result.total_energy_nj
-
-    @property
-    def energy_per_inference_nj(self) -> float:
-        """Mean energy per executed inference, in nanojoules."""
-        return self.result.energy_per_inference_nj
-
-    @property
-    def mean_power_mw(self) -> float:
-        """Mean power over the run, in milliwatts."""
-        return self.result.mean_power_mw
-
-    @property
-    def deadlines_met(self) -> bool:
-        """Whether every slice finished inside its deadline."""
-        return self.result.deadlines_met
-
-    @property
-    def missed_slices(self) -> int:
-        """Slices that blew their deadline."""
-        return sum(1 for r in self.result.records if not r.deadline_met)
-
-    @property
-    def total_inferences(self) -> int:
-        """Inferences executed over the whole run."""
-        return self.result.total_inferences
-
-    @property
-    def mean_slice_busy_ns(self) -> float:
-        """Mean busy time per slice (compute + core + movement)."""
-        records = self.result.records
-        if not records:
-            return 0.0
-        return sum(r.busy_time_ns for r in records) / len(records)
-
-    @property
-    def worst_slice_busy_ns(self) -> float:
-        """The most loaded slice's busy time."""
-        records = self.result.records
-        return max((r.busy_time_ns for r in records), default=0.0)
-
-    @property
-    def blocks_moved(self) -> int:
-        """Weight blocks migrated over the whole run."""
-        return sum(r.movement.blocks_moved for r in self.result.records)
-
-    @property
-    def devices(self) -> int:
-        """Devices this run occupied (a single-device run: 1)."""
-        return 1
-
-    @property
-    def dispatch(self) -> str:
-        """The config's dispatch policy (idle on a single device)."""
-        return self.config.dispatch
-
-    @property
-    def slice_count(self) -> int:
-        """(device, slice) cells executed — the aggregation weight."""
-        return len(self.result.records)
-
-    @property
-    def total_busy_ns(self) -> float:
-        """Busy time summed over every executed slice."""
-        return sum(r.busy_time_ns for r in self.result.records)
-
-    @property
-    def slices(self) -> int:
-        """The *realized* per-device slice count: a registered Scenario
-        instance ignores the config's slices knob, so the executed
-        length is the truthful value to export."""
-        return len(self.result.records)
-
-    @property
-    def seed(self) -> int:
-        """The config's scenario-materialisation seed."""
-        return self.config.seed
-
-    @property
-    def block_count(self) -> int:
-        """The config's optimizer block resolution."""
-        return self.config.block_count
-
-    @property
-    def time_steps(self) -> int:
-        """The config's optimizer time-step resolution."""
-        return self.config.time_steps
-
-    @property
-    def t_slice_ns(self) -> float:
-        """The realized time-slice length, in nanoseconds."""
-        return self.result.t_slice_ns
-
-    def to_row(self) -> dict:
-        """A flat, JSON/CSV-ready summary of this run.
-
-        Fleet rows (:meth:`FleetRecord.to_row`) share the same
-        :data:`ROW_FIELDS` schema, so mixed batches export to one CSV
-        layout.
-        """
-        return {field: getattr(self, field) for field in ROW_FIELDS}
+def record_kind(config: ExperimentConfig) -> str:
+    """The record kind a config produces: ``fleet`` when it asks for
+    more than one device, else ``run``."""
+    return "fleet" if config.fleet > 1 else "run"
 
 
-#: The shared flat-row schema of :meth:`RunRecord.to_row` and
-#: :meth:`FleetRecord.to_row` — every name is a property on both record
-#: kinds, so the export stays rectangular however a batch is mixed.
-#: Deliberately *results only*: provenance like ``lut_cached`` stays off
-#: the row, so identical experiments export identically whether they
-#: were computed cold, LUT-cached, or reloaded from the experiment
-#: store.
+#: The flat-row schema of :meth:`Record.to_row` — every name is a
+#: :class:`Record` property, so the export stays rectangular however a
+#: batch mixes record kinds.  Deliberately *results only*: provenance
+#: like ``lut_cached`` stays off the row, so identical experiments
+#: export identically whether they were computed cold, LUT-cached, or
+#: reloaded from the experiment store.
 ROW_FIELDS = (
     "arch", "model", "scenario", "policy", "devices", "dispatch",
     "slices", "seed", "block_count", "time_steps", "t_slice_ns",
@@ -192,27 +59,43 @@ ROW_FIELDS = (
 
 
 @dataclass(frozen=True)
-class FleetRecord:
-    """One executed fleet experiment: the config and its fleet outcome.
+class Record:
+    """One executed experiment: the config and its outcome.
 
-    Exposes the same flat metric surface as :class:`RunRecord` (per-slice
-    statistics aggregate over every (device, slice) cell), so
-    :class:`ResultSet` filtering, aggregation and export treat both
-    uniformly.
+    The base of :class:`RunRecord` and :class:`FleetRecord`; a subclass
+    supplies only :meth:`_parts`.  Per-slice statistics fold over every
+    (device, slice) cell of :attr:`device_results`; whole-run totals
+    come from ``result``, whose two types share those aggregates.
     """
 
     config: ExperimentConfig
-    result: FleetResult
-    #: Whether the engine served the fleet's shared LUT from cache
-    #: (provenance only — never exported; see :data:`ROW_FIELDS`).
+    #: The outcome: a RunResult (``run``) or a FleetResult (``fleet``).
+    result: object
+    #: Whether the engine served the run's allocation LUT from cache.
+    #: Pure provenance — it never appears in exports (see
+    #: :data:`ROW_FIELDS`), so a record reloaded from the experiment
+    #: store exports identically to the freshly computed one.
     lut_cached: bool = False
 
-    # -- flat accessors (the RunRecord surface) ---------------------------------
+    #: The record kind, ``run`` or ``fleet`` (see :func:`record_kind`).
+    kind: ClassVar[str]
+
+    def _parts(self) -> tuple:
+        """``(per-device RunResults, dispatch policy name)``."""
+        raise NotImplementedError
 
     @property
-    def kind(self) -> str:
-        """The record kind: ``fleet`` (see :attr:`RunRecord.kind`)."""
-        return "fleet"
+    def device_results(self) -> tuple:
+        """The per-device :class:`~repro.core.runtime.RunResult`s."""
+        return self._parts()[0]
+
+    def _cells(self):
+        """Every executed (device, slice) record, device by device."""
+        return chain.from_iterable(
+            device.records for device in self.device_results
+        )
+
+    # -- flat accessors (used by filtering/aggregation/export) ------------------
 
     @property
     def arch(self) -> str:
@@ -231,22 +114,24 @@ class FleetRecord:
 
     @property
     def policy(self) -> str:
-        """The *resolved* placement policy (shared by every device)."""
-        return self.result.device_results[0].policy.value
+        """The *resolved* placement policy (config may have left it
+        defaulted; shared by every device)."""
+        return self.device_results[0].policy.value
 
     @property
     def devices(self) -> int:
-        """Number of devices the fleet ran."""
-        return len(self.result.device_results)
+        """Devices the experiment occupied."""
+        return len(self.device_results)
 
     @property
     def dispatch(self) -> str:
-        """The dispatch policy that split the arrival stream."""
-        return self.result.dispatch
+        """The dispatch policy: the fleet's, or on a single device
+        (where it is idle) the config's."""
+        return self._parts()[1]
 
     @property
     def total_energy_nj(self) -> float:
-        """Energy of the whole fleet run, in nanojoules."""
+        """Energy of the whole run, in nanojoules."""
         return self.result.total_energy_nj
 
     @property
@@ -256,7 +141,7 @@ class FleetRecord:
 
     @property
     def mean_power_mw(self) -> float:
-        """Mean fleet power over the run, in milliwatts."""
+        """Mean power over the run, in milliwatts (devices add)."""
         return self.result.mean_power_mw
 
     @property
@@ -267,35 +152,26 @@ class FleetRecord:
     @property
     def missed_slices(self) -> int:
         """(device, slice) cells that blew their deadline."""
-        return sum(
-            1
-            for device in self.result.device_results
-            for record in device.records
-            if not record.deadline_met
-        )
+        return sum(1 for record in self._cells() if not record.deadline_met)
 
     @property
     def total_inferences(self) -> int:
-        """Inferences executed across the whole fleet."""
+        """Inferences executed over the whole run."""
         return self.result.total_inferences
 
     @property
     def slice_count(self) -> int:
         """(device, slice) cells executed — the aggregation weight."""
-        return sum(len(d.records) for d in self.result.device_results)
+        return sum(len(device.records) for device in self.device_results)
 
     @property
     def total_busy_ns(self) -> float:
         """Busy time summed over every (device, slice) cell."""
-        return sum(
-            record.busy_time_ns
-            for device in self.result.device_results
-            for record in device.records
-        )
+        return sum(record.busy_time_ns for record in self._cells())
 
     @property
     def mean_slice_busy_ns(self) -> float:
-        """Mean busy time per (device, slice) cell."""
+        """Mean busy time (compute + core + movement) per cell."""
         cells = self.slice_count
         return self.total_busy_ns / cells if cells else 0.0
 
@@ -303,27 +179,20 @@ class FleetRecord:
     def worst_slice_busy_ns(self) -> float:
         """The most loaded (device, slice) cell's busy time."""
         return max(
-            (
-                record.busy_time_ns
-                for device in self.result.device_results
-                for record in device.records
-            ),
-            default=0.0,
+            (record.busy_time_ns for record in self._cells()), default=0.0
         )
 
     @property
     def blocks_moved(self) -> int:
-        """Weight blocks migrated across the whole fleet."""
-        return sum(
-            record.movement.blocks_moved
-            for device in self.result.device_results
-            for record in device.records
-        )
+        """Weight blocks migrated over the whole run."""
+        return sum(record.movement.blocks_moved for record in self._cells())
 
     @property
     def slices(self) -> int:
-        """Realized slices per device (every device runs the full run)."""
-        return len(self.result.device_results[0].records)
+        """The *realized* per-device slice count: a registered Scenario
+        instance ignores the config's slices knob, so the executed
+        length is the truthful value to export."""
+        return len(self.device_results[0].records)
 
     @property
     def seed(self) -> int:
@@ -343,11 +212,41 @@ class FleetRecord:
     @property
     def t_slice_ns(self) -> float:
         """The realized time-slice length, in nanoseconds."""
-        return self.result.device_results[0].t_slice_ns
+        return self.device_results[0].t_slice_ns
 
     def to_row(self) -> dict:
-        """A flat summary over the shared :data:`ROW_FIELDS` schema."""
+        """A flat, JSON/CSV-ready summary over :data:`ROW_FIELDS`."""
         return {field: getattr(self, field) for field in ROW_FIELDS}
+
+
+class RunRecord(Record):
+    """A single-device experiment: ``result`` is its
+    :class:`~repro.core.runtime.RunResult`."""
+
+    kind = "run"
+
+    def _parts(self) -> tuple:
+        return (self.result,), self.config.dispatch
+
+
+class FleetRecord(Record):
+    """A fleet experiment: ``result`` is its
+    :class:`~repro.serving.fleet.FleetResult`."""
+
+    kind = "fleet"
+
+    def _parts(self) -> tuple:
+        return self.result.device_results, self.result.dispatch
+
+
+def check_record(record, holder: str) -> None:
+    """Raise unless ``record`` is a :class:`Record` (``holder`` names
+    the collection refusing it)."""
+    if not isinstance(record, Record):
+        raise ConfigurationError(
+            f"{holder} holds RunRecord/FleetRecord entries, "
+            f"got {type(record).__name__}"
+        )
 
 
 @dataclass(frozen=True)
@@ -382,11 +281,7 @@ class ResultSet:
     def __init__(self, records) -> None:
         self._records = tuple(records)
         for record in self._records:
-            if not isinstance(record, (RunRecord, FleetRecord)):
-                raise ConfigurationError(
-                    f"ResultSet holds RunRecord/FleetRecord entries, "
-                    f"got {type(record).__name__}"
-                )
+            check_record(record, "ResultSet")
 
     # -- sequence protocol ------------------------------------------------------
 
@@ -448,7 +343,7 @@ class ResultSet:
         return ResultSet(out)
 
     def best(self, metric: str = "total_energy_nj",
-             minimize: bool = True) -> RunRecord:
+             minimize: bool = True) -> Record:
         """The single best run under a flat metric."""
         if not len(self):
             raise ConfigurationError("cannot pick best of an empty ResultSet")
@@ -609,7 +504,7 @@ class StoredResultSet(ResultSet):
         """Every record, materialised in memory (loses the bound)."""
         return tuple(self)
 
-    def _load(self, config) -> "RunRecord | FleetRecord":
+    def _load(self, config) -> Record:
         record = self._store.get(config)
         if record is None:
             raise ConfigurationError(

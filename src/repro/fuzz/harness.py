@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 from ..api.engine import Engine
 from ..api.registry import SCENARIOS
+from ..api.results import record_kind
 from ..errors import ReproError
 from ..obs import events as _events
 from ..reference import reference
@@ -101,7 +102,10 @@ class Violation:
 def _check_batch(case: FuzzCase, config, scenario, engine, violations):
     """Batch-path invariants: task conservation, determinism, scalar
     runtime differential."""
-    runner = engine.run_record if case.fleet == 1 else engine.run_fleet_record
+    runner = (
+        engine.run_record if record_kind(config) == "run"
+        else engine.run_fleet_record
+    )
 
     def snapshot():
         return runner(config, scenario=scenario).result.to_dict(

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 from ..api.config import ExperimentConfig
 from ..api.engine import Engine
+from ..api.results import record_kind
 from ..errors import ProtocolError, ReproError, ServiceError
 from ..obs import events as obs_events
 from ..obs import tracing as obs_tracing
@@ -573,14 +574,20 @@ class ServeDaemon:
             config = ExperimentConfig.from_dict(message["config"]).validate()
         except ReproError as error:
             raise ProtocolError(str(error), code="bad_config") from error
+        if kind == "run" and record_kind(config) != "run":
+            raise ProtocolError(
+                f"config asks for a {config.fleet}-device fleet; submit "
+                f"it as kind 'fleet' or 'qos'",
+                code="bad_config",
+            )
         with self._jobs_lock:
             self._next_id += 1
             job = Job(
                 job_id=f"job-{self._next_id:06d}",
                 kind=kind,
                 config=config,
-                records=bool(message.get("records", False)),
-                trace=bool(message.get("trace", False)),
+                records=message.get("records", False),
+                trace=message.get("trace", False),
             )
             self._jobs[job.job_id] = job
             self._order.append(job.job_id)

@@ -278,8 +278,9 @@ def validate_request(message: dict) -> str:
             )
         if not isinstance(message.get("config"), dict):
             raise ProtocolError("SUBMIT needs a config object")
-        if "trace" in message and not isinstance(message["trace"], bool):
-            raise ProtocolError("SUBMIT trace must be a boolean")
+        for flag in ("records", "trace"):
+            if flag in message and not isinstance(message[flag], bool):
+                raise ProtocolError(f"SUBMIT {flag} must be a boolean")
     if rtype in ("RESULT",) and not isinstance(
         message.get("job_id"), str
     ):

@@ -43,7 +43,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from ..api.config import ExperimentConfig
-from ..api.results import FleetRecord, ResultSet, RunRecord
+from ..api.results import Record, ResultSet, check_record, record_kind
 from ..core import lutcache
 from ..entries import EntryDir, default_root
 from ..errors import ConfigurationError
@@ -68,11 +68,6 @@ def temporary_store_dir(path):
     """
     with _env_override("REPRO_STORE", str(path)):
         yield Path(path)
-
-
-def record_kind(config: ExperimentConfig) -> str:
-    """The batch record kind a config produces: ``run`` or ``fleet``."""
-    return "fleet" if config.fleet > 1 else "run"
 
 
 class Store:
@@ -115,7 +110,7 @@ class Store:
         """The stored record for a config, or ``None`` on any miss.
 
         ``kind`` defaults to the batch kind the config produces
-        (``fleet`` when ``config.fleet > 1``, else ``run``); pass
+        (:func:`~repro.api.results.record_kind`); pass
         ``"qos"`` — or use :meth:`get_qos` — for request-level results.
         """
         with _span("store.get") as trace_span:
@@ -156,11 +151,7 @@ class Store:
         unpicklable record degrades to recomputation, never to an
         error).
         """
-        if not isinstance(record, (RunRecord, FleetRecord)):
-            raise ConfigurationError(
-                f"store holds RunRecord/FleetRecord entries, "
-                f"got {type(record).__name__}"
-            )
+        check_record(record, "store")
         return self._put(
             self.key_for(record.config, record.kind), record.kind,
             record.config.to_dict(), record.to_row(), record, engine_stats,
@@ -279,7 +270,7 @@ class Store:
         kinds = ("run", "fleet") if kind is None else (kind,)
         results = ResultSet(
             record for _, record in self._scan(
-                "query", kinds, limit, "record", (RunRecord, FleetRecord)
+                "query", kinds, limit, "record", Record
             )
         )
         if predicate is not None or axes:

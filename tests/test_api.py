@@ -499,3 +499,72 @@ class TestResultSet:
     def test_rejects_non_records(self):
         with pytest.raises(ConfigurationError):
             ResultSet([object()])
+
+
+class TestRowGolden:
+    """Literal ``to_row()`` values of one TINY record of each kind.
+
+    Both kinds share one metric implementation; these values pin its
+    results (summation order included) to the ones the separate
+    per-kind implementations produced.
+    """
+
+    COMMON = {
+        "arch": "HH-PIM",
+        "model": "EfficientNet-B0",
+        "scenario": "case6",
+        "policy": "dynamic_lut",
+        "slices": 8,
+        "seed": 2025,
+        "block_count": 16,
+        "time_steps": 1500,
+        "t_slice_ns": 339058474.0962891,
+        "deadlines_met": True,
+        "missed_slices": 0,
+        "total_inferences": 53,
+    }
+
+    def test_run_record_row(self):
+        record = Engine(use_disk_cache=False).run_record(
+            ExperimentConfig(scenario="case6", slices=8, **TINY)
+        )
+        assert record.kind == "run"
+        assert record.to_row() == {
+            **self.COMMON,
+            "devices": 1,
+            "dispatch": "round_robin",
+            "total_energy_nj": 181641836.61845875,
+            "energy_per_inference_nj": 3427204.4644992216,
+            "mean_power_mw": 66.96552751800355,
+            "mean_slice_busy_ns": 291192622.84861463,
+            "worst_slice_busy_ns": 332031891.19491565,
+            "blocks_moved": 114,
+        }
+        # The CSV header follows the row's key order.
+        assert ResultSet([record]).to_csv().splitlines()[0] == (
+            "arch,model,scenario,policy,devices,dispatch,slices,seed,"
+            "block_count,time_steps,t_slice_ns,total_energy_nj,"
+            "energy_per_inference_nj,mean_power_mw,deadlines_met,"
+            "missed_slices,total_inferences,mean_slice_busy_ns,"
+            "worst_slice_busy_ns,blocks_moved"
+        )
+
+    def test_fleet_record_row(self):
+        record = Engine(use_disk_cache=False).run_fleet_record(
+            ExperimentConfig(
+                scenario="case6", slices=8, fleet=2,
+                dispatch="least_loaded", **TINY,
+            )
+        )
+        assert record.kind == "fleet"
+        assert record.to_row() == {
+            **self.COMMON,
+            "devices": 2,
+            "dispatch": "least_loaded",
+            "total_energy_nj": 166174669.77464563,
+            "energy_per_inference_nj": 3135371.1278235023,
+            "mean_power_mw": 61.26327848668285,
+            "mean_slice_busy_ns": 237479247.26424024,
+            "worst_slice_busy_ns": 324837496.03239375,
+            "blocks_moved": 30,
+        }

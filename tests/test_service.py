@@ -141,6 +141,15 @@ class TestMessageValidation:
         with pytest.raises(ProtocolError, match="unknown submit kind"):
             protocol.validate_request(message)
 
+    def test_submit_rejects_non_boolean_flags(self):
+        for flag in ("records", "trace"):
+            message = {
+                "v": PROTOCOL_VERSION, "type": "SUBMIT",
+                "config": {}, flag: "false",
+            }
+            with pytest.raises(ProtocolError, match=f"{flag} must be a boolean"):
+                protocol.validate_request(message)
+
     def test_result_needs_job_id(self):
         message = {"v": PROTOCOL_VERSION, "type": "RESULT"}
         with pytest.raises(ProtocolError, match="job_id"):
@@ -473,6 +482,12 @@ class TestDaemon:
         with pytest.raises(RemoteError) as err:
             client.submit(config)
         assert err.value.code == "bad_config"
+        # A run job on a multi-device config is refused up front, not
+        # queued to fail later.
+        with pytest.raises(RemoteError) as err:
+            client.submit(qos_config(fleet=2), kind="run")
+        assert err.value.code == "bad_config"
+        assert "fleet" in str(err.value)
 
     def test_raw_socket_error_replies(self, daemon):
         def exchange(message):

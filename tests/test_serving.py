@@ -201,6 +201,10 @@ class TestEngineFleet:
         single = engine.run(config)
         fleet = engine.run_fleet(config)
         assert fleet.device_results[0].records == single.records
+        assert (
+            engine.run_fleet_record(config).to_row()
+            == engine.run_record(config).to_row()
+        )
 
     def test_run_record_rejects_fleet_configs(self):
         # run_record stays single-device; batching goes via run_many.

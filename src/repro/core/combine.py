@@ -12,10 +12,16 @@ in ascending order, adds the HP energy row of ``k_hp`` to the LP energy
 row of ``K - k_hp`` (both contiguous over ``t``) and keeps a running
 strict-``<`` minimum, which selects the same first-minimum split as an
 argmin along ``k_hp``; path reconstruction then walks the count traces
-of every feasible budget at once.  Unlike the paper's pseudo-code we include
-the degenerate splits ``k_hp = 0`` and ``k_lp = 0`` — Fig. 6's "LP-MRAM
-only" region *is* the ``k_hp = 0`` split, so the pseudo-code's 1-based
-loop is read as an off-by-one simplification.
+of every feasible budget at once.  Both DP tables saturate (see
+:mod:`repro.core.knapsack`), so every budget past the later of the two
+saturation points repeats that budget's split: the scan covers only
+``W = max(t_saturated) + 1`` budgets, reading the narrower table past
+its own saturation point as its saturated column.
+
+Unlike the paper's pseudo-code we include the degenerate splits
+``k_hp = 0`` and ``k_lp = 0`` — Fig. 6's "LP-MRAM only" region *is* the
+``k_hp = 0`` split, so the pseudo-code's 1-based loop is read as an
+off-by-one simplification.
 
 A per-``t`` scalar reference (selected with ``REPRO_REFERENCE=1``, like
 the knapsack DP's) is kept for differential testing;
@@ -33,7 +39,7 @@ import numpy as np
 from ..errors import PlacementError
 from ..obs.tracing import span as _span
 from ..reference import use_reference
-from .knapsack import ClusterDpResult, reconstruct_counts
+from .knapsack import ClusterDpResult, _pad_time, reconstruct_counts
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,14 @@ def set_allocation_state(
         rows[t] = _build_row(
             position, t, k_hp, total_blocks, energies, counts_columns
         )
+    # Budgets past the scanned width repeat its last (saturated) row.
+    width = _scan_width(hp, lp)
+    if len(t_idx) and t_idx[-1] == width - 1:
+        for t in range(width, hp.t_steps + 1):
+            rows[t] = _build_row(
+                len(t_idx) - 1, t, k_hp, total_blocks, energies,
+                counts_columns,
+            )
     return rows
 
 
@@ -108,7 +122,8 @@ def unique_allocation_rows(
     Consecutive budgets overwhelmingly select the same placement, so the
     full ``t_steps + 1`` row list collapses to a handful of distinct
     placements.  This returns only the *first* row of each distinct
-    per-space count vector — exactly the rows
+    per-space count vector (every first occurrence lies within the
+    scanned, saturated width) — exactly the rows
     :class:`~repro.core.lut.AllocationLUT` would keep after its own
     dedupe — so the LUT builder evaluates dozens of rows instead of tens
     of thousands.
@@ -152,6 +167,13 @@ def _combine_span(hp, lp, total_blocks):
     )
 
 
+def _scan_width(hp: ClusterDpResult, lp: ClusterDpResult | None) -> int:
+    """How many budgets Algorithm 2 must scan: later ones repeat the last."""
+    if lp is None:
+        return hp.t_saturated + 1
+    return max(hp.t_saturated, lp.t_saturated) + 1
+
+
 def _solve_splits(
     hp: ClusterDpResult,
     lp: ClusterDpResult | None,
@@ -163,19 +185,22 @@ def _solve_splits(
     holds the feasible budgets (ascending), ``k_hp``/``energies`` the
     chosen split and its energy per feasible budget, and
     ``counts_columns`` is a list of ``(SpaceKind, per-budget counts)``
-    pairs covering every space of both clusters.
+    pairs covering every space of both clusters.  Only the first
+    :func:`_scan_width` budgets are solved; later ones repeat the last.
     """
     with _combine_span(hp, lp, total_blocks):
         if lp is None:
-            energy = hp.energy[:, total_blocks]
+            energy = hp.energy_kt[total_blocks]
             t_idx = np.nonzero(np.isfinite(energy))[0]
             k_hp = np.full(len(t_idx), total_blocks, dtype=np.int64)
             counts_columns = _reconstruct_many(hp, t_idx, k_hp)
             return t_idx, k_hp, energy[t_idx], counts_columns
 
-        # energy[t, k] is a transposed view of (k, t) storage, so
-        # energy.T[k] is the contiguous budget row of k blocks.
-        hp_rows, lp_rows = hp.energy.T, lp.energy.T
+        # rows[k] is the contiguous budget row of k blocks; the narrower
+        # table reads as its saturated column past its own saturation.
+        width = _scan_width(hp, lp)
+        hp_rows = _pad_time(hp.energy_kt, width - 1)
+        lp_rows = _pad_time(lp.energy_kt, width - 1)
         # best[t] = min over k_hp of hp[t, k_hp] + lp[t, K - k_hp]; the
         # strict < keeps the first (smallest) minimising split.
         best = hp_rows[0] + lp_rows[total_blocks]
@@ -198,13 +223,14 @@ def _reconstruct_many(table: ClusterDpResult, t_idx, k_idx):
     """Vectorised path tracing: per-space counts for many budgets at once.
 
     The same walk as :func:`~repro.core.knapsack.reconstruct_counts`,
-    with every budget's ``(t, k)`` cursor advanced in lockstep.
+    with every budget's ``(t, k)`` cursor advanced in lockstep (and each
+    budget clamped once to the table's saturation point).
     """
-    t = np.asarray(t_idx, dtype=np.int64).copy()
+    t = np.minimum(np.asarray(t_idx, dtype=np.int64), table.t_saturated)
     k = np.asarray(k_idx, dtype=np.int64).copy()
     columns = []
     for i in range(len(table.spaces), 0, -1):
-        taken = table.count[i][t, k].astype(np.int64)
+        taken = table.count_ikt[i][k, t].astype(np.int64)
         columns.append((table.spaces[i - 1].kind, taken))
         t -= taken * table.step_counts[i - 1]
         k -= taken
@@ -224,7 +250,7 @@ def _set_allocation_state_scalar(
     rows = []
     for t in range(hp.t_steps + 1):
         if lp is None:
-            energy = hp.energy[t, total_blocks]
+            energy = hp.energy_row(t)[total_blocks]
             if not np.isfinite(energy):
                 rows.append(None)
                 continue

@@ -20,6 +20,18 @@ per-space ``count[i]`` traces, so the ``dp`` recurrence runs on a single
 aside for capacity-bounded spaces), and ``count`` is stored in the
 smallest unsigned integer type that holds ``K``.
 
+The time axis saturates.  A placement of ``k`` blocks never needs more
+than ``k * max(t_i)`` steps, so by induction over spaces and ``k`` every
+``dp[i][t][k]`` and ``count[i][t][k]`` with ``t >= k * max(t_i)`` reads
+the same inputs, makes the same strict-``<`` choices and holds the same
+value as at ``t = k * max(t_i)`` — bit for bit, bounded spaces included
+(``j * t_i <= j * max(t_i)``).  The production path therefore stores
+only the budgets up to ``t_saturated = min(T, K * max(t_i))`` (720-3000
+of 5420-24000 budgets on the paper's Fig. 5 grid); readers clamp a
+budget to ``t_saturated``, and the dense ``(T+1)``-wide
+``energy``/``count`` views are built on demand for callers that want
+the whole axis.
+
 Time is discretised to ``time_step_ns``; per-space step counts are rounded
 *up*, so a placement the DP declares feasible is feasible in continuous
 time too (the discretisation is conservative).
@@ -36,6 +48,7 @@ as the oracle the differential tests check the fast path against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,27 +75,59 @@ class ClusterDpResult:
     (the recurrence's final ``dp[n]``); ``count[i, t, k]`` is how many of
     those blocks the optimal path over the first ``i`` spaces put in
     space ``i``.
+
+    Only budgets ``0 .. t_saturated`` are stored, in ``energy_kt[k, t]``
+    and ``count_ikt[i, k, t]`` (each budget row contiguous); every later
+    budget equals ``t_saturated`` (see the module docstring).  ``energy``
+    and ``count`` present the dense ``0 .. t_steps`` axis, padded with
+    the saturated column on first access — reference material for tests
+    and external readers, never touched by the production path.
     """
 
     spaces: tuple
-    energy: np.ndarray
-    count: np.ndarray
+    energy_kt: np.ndarray
+    count_ikt: np.ndarray
     time_step_ns: float
     step_counts: tuple
+    #: Largest representable time budget, in steps (the configured axis).
+    t_steps: int
 
     @property
-    def t_steps(self) -> int:
-        """Largest representable time budget, in steps."""
-        return self.energy.shape[0] - 1
+    def t_saturated(self) -> int:
+        """Largest stored budget; later budgets repeat its column."""
+        return self.energy_kt.shape[1] - 1
 
     @property
     def max_blocks(self) -> int:
         """``K``: the block-count dimension of the table."""
-        return self.energy.shape[1] - 1
+        return self.energy_kt.shape[0] - 1
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """The dense ``(t_steps + 1, K + 1)`` energy table."""
+        return _pad_time(self.energy_kt, self.t_steps).T
+
+    @cached_property
+    def count(self) -> np.ndarray:
+        """The dense ``(n + 1, t_steps + 1, K + 1)`` count traces."""
+        return _pad_time(self.count_ikt, self.t_steps).transpose(0, 2, 1)
 
     def energy_row(self, t_step: int) -> np.ndarray:
         """``dp[n][t][:]`` — energies over all block counts at budget ``t``."""
-        return self.energy[t_step, :]
+        return self.energy_kt[:, min(t_step, self.t_saturated)]
+
+
+def _pad_time(stored: np.ndarray, t_steps: int) -> np.ndarray:
+    """Extend the trailing time axis to ``t_steps + 1`` budgets by
+    repeating the saturated (last stored) column."""
+    missing = t_steps + 1 - stored.shape[-1]
+    if missing == 0:
+        return stored
+    edge = stored[..., -1:]
+    return np.concatenate(
+        [stored, np.broadcast_to(edge, edge.shape[:-1] + (missing,))],
+        axis=-1,
+    )
 
 
 def _step_count(time_ns: float, time_step_ns: float) -> int:
@@ -130,27 +175,32 @@ def knapsack_min_energy(
         _step_count(space.time_per_block_ns, time_step_ns) for space in spaces
     )
     scalar = use_reference()
+    # The scalar reference keeps the whole axis, so it stays an
+    # independent, unclamped oracle for the saturated fast path.
+    t_saturated = (
+        t_steps if scalar else min(t_steps, max_blocks * max(step_counts))
+    )
     with _span(
-        "core.dp_build", spaces=n, t_steps=t_steps, blocks=max_blocks,
-        scalar=scalar,
+        "core.dp_build", spaces=n, t_steps=t_steps, t_saturated=t_saturated,
+        blocks=max_blocks, scalar=scalar,
     ):
-        # Stored (k, t) so each budget row energy[k, :] is contiguous;
-        # the public energy[t, k] orientation is a transposed view.
-        energy = np.full((max_blocks + 1, t_steps + 1), np.inf)
+        # Stored (k, t) so each budget row energy[k, :] is contiguous.
+        energy = np.full((max_blocks + 1, t_saturated + 1), np.inf)
         # Base condition (Algorithm 1, line 3): zero blocks cost zero energy.
         energy[0, :] = 0.0
         count = np.zeros(
-            (n + 1, max_blocks + 1, t_steps + 1),
+            (n + 1, max_blocks + 1, t_saturated + 1),
             dtype=np.min_scalar_type(max_blocks),
         )
         fill = _dp_scalar if scalar else _dp_vectorized
-        fill(spaces, t_steps, max_blocks, step_counts, energy, count)
+        fill(spaces, t_saturated, max_blocks, step_counts, energy, count)
     return ClusterDpResult(
         spaces=tuple(spaces),
-        energy=energy.T,
-        count=count.transpose(0, 2, 1),
+        energy_kt=energy,
+        count_ikt=count,
         time_step_ns=time_step_ns,
         step_counts=step_counts,
+        t_steps=t_steps,
     )
 
 
@@ -160,6 +210,7 @@ def _dp_vectorized(spaces, t_steps, max_blocks, step_counts, energy, count):
     Every update compares a shifted budget row against the running
     minimum with the same strict ``<`` and the same ascending take-count
     order as the scalar reference, so the tables come out bit-identical.
+    ``t_steps`` is the last *stored* budget (``t_saturated``).
     """
     for i, space in enumerate(spaces, start=1):
         ti = step_counts[i - 1]
@@ -248,14 +299,16 @@ def reconstruct_counts(result: ClusterDpResult, t_step: int, blocks: int):
         raise PlacementError(f"t_step {t_step} outside table")
     if not 0 <= blocks <= result.max_blocks:
         raise PlacementError(f"block count {blocks} outside table")
-    if not np.isfinite(result.energy[t_step, blocks]):
+    # Every later budget repeats t_saturated, and the walk only lowers
+    # t, so one clamp keeps it inside the stored region.
+    t, k = min(t_step, result.t_saturated), blocks
+    if not np.isfinite(result.energy_kt[k, t]):
         raise PlacementError(
             f"state (t={t_step}, k={blocks}) is infeasible"
         )
     counts = {}
-    t, k = t_step, blocks
     for i in range(len(result.spaces), 0, -1):
-        taken = int(result.count[i, t, k])
+        taken = int(result.count_ikt[i, k, t])
         counts[result.spaces[i - 1].kind] = taken
         t -= taken * result.step_counts[i - 1]
         k -= taken
@@ -273,10 +326,3 @@ def cluster_time_ns(result: ClusterDpResult, counts: dict) -> float:
         total += counts.get(space.kind, 0) * space.time_per_block_ns
     return total
 
-
-def cluster_dynamic_energy_nj(result: ClusterDpResult, counts: dict) -> float:
-    """Continuous-time dynamic energy of a per-space placement (per task)."""
-    total = 0.0
-    for space in result.spaces:
-        total += counts.get(space.kind, 0) * space.dynamic_energy_per_block_nj
-    return total

@@ -39,8 +39,11 @@ DEFAULT_BLOCK_COUNT = 120
 #: Cap on the number of time steps spanning one time slice.  The actual
 #: step is derived from the block times (see ``_choose_time_step``) so
 #: that spaces with different speeds stay distinguishable after
-#: quantisation; the cap bounds DP memory/time, mirroring the paper's
-#: resolution limiting.
+#: quantisation; the cap sets the LUT's budget resolution, mirroring the
+#: paper's resolution limiting.  DP memory and time are bounded by the
+#: saturation point ``K * max(t_i)`` instead (see
+#: :mod:`repro.core.knapsack`), so raising the cap past it costs the DP
+#: nothing.
 DEFAULT_TIME_STEPS = 24000
 
 #: Time-step granularity relative to the fastest space's block time.
@@ -227,19 +230,13 @@ class DataPlacementOptimizer:
 
     def _evaluate_row(self, row) -> Placement:
         counts = dict(row.counts)
-        task_time = self.task_time_ns(counts)
-        dynamic = sum(
-            self.space(kind).dynamic_energy_per_block_nj * blocks
-            for kind, blocks in counts.items()
-        )
-        hold = self.hold_static_power_mw(counts)
         return Placement(
             t_budget_ns=row.t_step * self.time_step_ns,
             counts=counts,
-            task_time_ns=task_time,
+            task_time_ns=self.task_time_ns(counts),
             dp_energy_nj=row.energy_nj,
-            dynamic_energy_nj=dynamic,
-            hold_static_power_mw=hold,
+            dynamic_energy_nj=self.dynamic_energy_nj(counts),
+            hold_static_power_mw=self.hold_static_power_mw(counts),
             k_hp=row.k_hp,
             k_lp=row.k_lp,
         )

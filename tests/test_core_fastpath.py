@@ -16,15 +16,21 @@ import numpy as np
 import pytest
 
 from _shared import SMALL_BLOCKS, SMALL_STEPS
-from repro.arch import HH_PIM, HYBRID_PIM
+from repro.arch import BASELINE_PIM, HH_PIM, HYBRID_PIM
 from repro.core.combine import set_allocation_state, unique_allocation_rows
 from repro.core.knapsack import (
     dp_build_count,
     knapsack_min_energy,
     reconstruct_counts,
 )
-from repro.core.placement import DataPlacementOptimizer
+from repro.core.placement import (
+    DEFAULT_BLOCK_COUNT,
+    DEFAULT_TIME_STEPS,
+    DataPlacementOptimizer,
+)
+from repro.core.runtime import default_time_slice_ns
 from repro.core.spaces import SpaceKind, StorageSpace
+from repro.isa.encoding import ClusterId
 from repro.reference import reference
 from repro.workloads import EFFICIENTNET_B0
 
@@ -226,3 +232,158 @@ class TestPlacementDifferential:
         with reference():
             ref = optimizer.build_lut()
         assert fast.candidates == ref.candidates
+
+
+def saturated_pair(spaces, t_steps, max_blocks):
+    """The clamped fast-path table and the dense reference table."""
+    with reference(False):
+        fast = knapsack_min_energy(
+            spaces, t_steps=t_steps, max_blocks=max_blocks, time_step_ns=1.0
+        )
+    with reference():
+        ref = knapsack_min_energy(
+            spaces, t_steps=t_steps, max_blocks=max_blocks, time_step_ns=1.0
+        )
+    return fast, ref
+
+
+#: Clusters whose step counts saturate far inside a 3x-wider axis.
+SATURATING = {
+    "unbounded": [
+        make_space(SpaceKind.HP_SRAM, t=2.0, e=9.0, capacity=1000),
+        make_space(SpaceKind.HP_MRAM, t=3.0, e=4.0, capacity=1000),
+    ],
+    "bounded": [
+        make_space(SpaceKind.HP_SRAM, t=1.0, e=7.0, capacity=3),
+        make_space(SpaceKind.HP_MRAM, t=4.0, e=2.0, capacity=4),
+    ],
+    "mixed": [
+        make_space(SpaceKind.HP_SRAM, t=1.0, e=11.0, capacity=1000),
+        make_space(SpaceKind.HP_MRAM, t=3.0, e=5.0, capacity=2),
+        make_space(SpaceKind.LP_MRAM, t=5.0, e=1.5, capacity=3),
+    ],
+}
+
+
+class TestTimeSaturation:
+    """The fast path stores budgets only up to ``K * max(t_i)``."""
+
+    BLOCKS = 6
+
+    def saturation(self, spaces):
+        return self.BLOCKS * max(round(s.time_per_block_ns) for s in spaces)
+
+    @pytest.mark.parametrize("shape", sorted(SATURATING))
+    def test_dense_tables_match_reference_past_saturation(self, shape):
+        spaces = SATURATING[shape]
+        t_sat = self.saturation(spaces)
+        fast, ref = saturated_pair(spaces, 3 * t_sat + 5, self.BLOCKS)
+        assert fast.t_saturated == t_sat
+        assert ref.t_saturated == ref.t_steps == fast.t_steps
+        assert np.array_equal(fast.energy, ref.energy)
+        assert np.array_equal(fast.count, ref.count)
+        assert fast.count.dtype == ref.count.dtype
+        for t in (0, t_sat - 1, t_sat, fast.t_steps):
+            assert np.array_equal(fast.energy_row(t), ref.energy_row(t))
+
+    @pytest.mark.parametrize("shape", sorted(SATURATING))
+    def test_stored_width_is_flat_in_time_steps(self, shape):
+        spaces = SATURATING[shape]
+        t_sat = self.saturation(spaces)
+        with reference(False):
+            tables = [
+                knapsack_min_energy(
+                    spaces, t_steps=t_steps, max_blocks=self.BLOCKS,
+                    time_step_ns=1.0,
+                )
+                for t_steps in (t_sat, 10 * t_sat)
+            ]
+        for table in tables:
+            assert table.energy_kt.shape == (self.BLOCKS + 1, t_sat + 1)
+            assert table.count_ikt.shape == (
+                len(spaces) + 1, self.BLOCKS + 1, t_sat + 1
+            )
+        assert np.array_equal(tables[0].energy_kt, tables[1].energy_kt)
+        assert np.array_equal(tables[0].count_ikt, tables[1].count_ikt)
+
+    @pytest.mark.parametrize("shape", sorted(SATURATING))
+    def test_reconstruction_past_saturation(self, shape):
+        spaces = SATURATING[shape]
+        t_sat = self.saturation(spaces)
+        fast, ref = saturated_pair(spaces, 4 * t_sat, self.BLOCKS)
+        for blocks in range(self.BLOCKS + 1):
+            if not np.isfinite(ref.energy[t_sat, blocks]):
+                continue
+            at_saturation = reconstruct_counts(fast, t_sat, blocks)
+            for t in (t_sat + 1, 2 * t_sat, fast.t_steps):
+                assert reconstruct_counts(fast, t, blocks) == at_saturation
+                assert reconstruct_counts(ref, t, blocks) == at_saturation
+
+    def test_unequal_cluster_saturation_combines_like_reference(self):
+        # HP saturates at 6 * 3 = 18 steps, LP at 6 * 5 = 30; the scan
+        # must cover 31 budgets, reading HP as saturated past 18.
+        hp_spaces = SATURATING["unbounded"]
+        lp_spaces = [
+            make_space(SpaceKind.LP_SRAM, t=4.0, e=3.0, capacity=1000),
+            make_space(SpaceKind.LP_MRAM, t=5.0, e=0.5, capacity=4),
+        ]
+        t_steps = 100
+        hp, hp_ref = saturated_pair(hp_spaces, t_steps, self.BLOCKS)
+        lp, lp_ref = saturated_pair(lp_spaces, t_steps, self.BLOCKS)
+        assert (hp.t_saturated, lp.t_saturated) == (18, 30)
+        width = 31
+        with reference(False):
+            fast_rows = set_allocation_state(hp, lp, self.BLOCKS)
+            unique = unique_allocation_rows(hp, lp, self.BLOCKS)
+        with reference():
+            ref_rows = set_allocation_state(hp_ref, lp_ref, self.BLOCKS)
+        assert len(fast_rows) == t_steps + 1
+        assert fast_rows == ref_rows
+        assert all(row.t_step == t for t, row in enumerate(fast_rows)
+                   if row is not None)
+        assert fast_rows[-1] is not None
+        assert unique and all(row.t_step < width for row in unique)
+        seen = {}
+        for row in ref_rows:
+            if row is not None:
+                seen.setdefault(tuple(sorted(
+                    (kind.value, n) for kind, n in row.counts.items()
+                )), row)
+        assert unique == list(seen.values())
+
+    def test_single_cluster_rows_past_saturation(self):
+        spaces = SATURATING["mixed"]
+        fast, ref = saturated_pair(spaces, 70, self.BLOCKS)
+        with reference(False):
+            fast_rows = set_allocation_state(fast, None, self.BLOCKS)
+        with reference():
+            ref_rows = set_allocation_state(ref, None, self.BLOCKS)
+        assert fast_rows == ref_rows
+
+
+class TestPaperResolutionOracle:
+    def test_baseline_table_matches_dense_reference(self):
+        # Baseline-PIM's one HP-SRAM space for EfficientNet-B0 at the
+        # paper's resolution: a 24000-step axis that saturates at 1200.
+        optimizer = DataPlacementOptimizer(
+            BASELINE_PIM, EFFICIENTNET_B0,
+            t_slice_ns=default_time_slice_ns(EFFICIENTNET_B0),
+            block_count=DEFAULT_BLOCK_COUNT, time_steps=DEFAULT_TIME_STEPS,
+        )
+        spaces = optimizer.cluster_spaces(ClusterId.HP)
+        args = dict(
+            t_steps=optimizer.time_steps, max_blocks=optimizer.block_count,
+            time_step_ns=optimizer.time_step_ns,
+        )
+        with reference(False):
+            fast = knapsack_min_energy(spaces, **args)
+        with reference():
+            ref = knapsack_min_energy(spaces, **args)
+        assert (fast.t_steps, fast.t_saturated) == (24000, 1200)
+        assert np.array_equal(fast.energy, ref.energy)
+        assert np.array_equal(fast.count, ref.count)
+        with reference(False):
+            fast_rows = set_allocation_state(fast, None, fast.max_blocks)
+        with reference():
+            ref_rows = set_allocation_state(ref, None, ref.max_blocks)
+        assert fast_rows == ref_rows

@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Engine, ExperimentConfig
-from repro.core import knapsack
+from repro.core import knapsack, placement
 from repro.core.lutcache import temporary_cache_dir
 from repro.obs import events as obs_events
 from repro.obs import profile as obs_profile
 from repro.obs import tracing as obs_tracing
 from repro.obs.tracing import Span, Trace, Tracer, subtree
+from repro.reference import use_reference
 
 TINY = dict(block_count=16, time_steps=1500)
 
@@ -505,6 +506,44 @@ class TestDpAttribution:
         # build span, so a cold build leaves no DP time unattributed.
         for span in allocations:
             assert by_id[span.parent].name == "core.dp_build"
+
+    def test_dp_build_reports_its_saturation_point(
+        self, tmp_path, monkeypatch
+    ):
+        # Every table a cold run builds, in build order, beside its span.
+        tables = []
+        build = placement.knapsack_min_energy
+
+        def recording_build(*args, **kwargs):
+            tables.append(build(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(placement, "knapsack_min_energy", recording_build)
+        config = ExperimentConfig(scenario="case3", slices=5, **TINY)
+        with temporary_cache_dir(tmp_path):
+            tracer = obs_tracing.activate(proc="test", epoch_ns=0)
+            try:
+                Engine().run(config)
+            finally:
+                obs_tracing.deactivate()
+        builds = [s for s in tracer.spans if s.name == "core.dp_build"]
+        assert builds and len(builds) == len(tables)
+        for span, table in zip(builds, tables):
+            t_steps = span.args["t_steps"]
+            assert t_steps == table.t_steps
+            assert span.args["t_saturated"] == table.t_saturated <= t_steps
+            # The scalar reference keeps the whole axis.
+            saturation = min(
+                t_steps, span.args["blocks"] * max(table.step_counts)
+            )
+            expected = t_steps if span.args["scalar"] else saturation
+            assert span.args["t_saturated"] == expected
+        if not use_reference():
+            # At 16 blocks the fast path stores only part of the axis.
+            assert any(
+                span.args["t_saturated"] < span.args["t_steps"]
+                for span in builds
+            )
 
 
 # -- non-perturbation ---------------------------------------------------------------

@@ -19,7 +19,6 @@ from ..api.engine import shared_engine
 from ..api.registry import ARCHITECTURES, MODELS, ensure_registered
 from ..arch.specs import TABLE_I, ArchitectureSpec, HH_PIM
 from ..core.placement import DEFAULT_BLOCK_COUNT
-from ..core.runtime import RunResult
 from ..errors import ConfigurationError
 from ..workloads.models import TABLE_IV, ModelSpec
 from ..workloads.scenarios import ALL_CASES, ScenarioCase
@@ -93,29 +92,6 @@ def _config_for(
         seed=seed,
         block_count=block_count,
     )
-
-
-def run_architecture(
-    spec: ArchitectureSpec,
-    model: ModelSpec,
-    case: ScenarioCase,
-    slices: int = 50,
-    seed: int = 2025,
-    block_count: int = DEFAULT_BLOCK_COUNT,
-) -> RunResult:
-    """Run one (architecture, model, scenario) cell, with caching.
-
-    Thin wrapper over :meth:`repro.api.Engine.run`, kept for callers that
-    hold spec objects rather than registry keys.
-    """
-    config = _config_for(spec, model, case, slices, seed, block_count)
-    # The cache key carries the spec *objects*, not just the config's name
-    # strings: a different spec reusing a builtin name must not be served
-    # the old architecture's numbers.
-    key = (spec, model, config)
-    if key not in _RUN_CACHE:
-        _RUN_CACHE[key] = shared_engine().run(config)
-    return _RUN_CACHE[key]
 
 
 def compute_savings_grid(

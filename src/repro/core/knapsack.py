@@ -32,9 +32,14 @@ budget to ``t_saturated``, and the dense ``(T+1)``-wide
 ``energy``/``count`` views are built on demand for callers that want
 the whole axis.
 
-Time is discretised to ``time_step_ns``; per-space step counts are rounded
-*up*, so a placement the DP declares feasible is feasible in continuous
-time too (the discretisation is conservative).
+Time is discretised to ``time_step_ns``; each space's per-block time is
+rounded to the *nearest* step, minimum one (:func:`_step_count`), which
+keeps the accumulated error of a many-block placement near zero.  The
+discretisation is therefore not conservative: a placement the DP
+declares feasible can overrun its continuous-time budget by up to half
+a step per block.  The runtime's deadline checks
+(``TimeSliceRuntime._account_slice``) allow one step of slack per task
+to absorb that error.
 
 Two implementations share this module: the *scalar* reference — a
 paper-faithful per-element translation of the recurrence — and the

@@ -24,19 +24,14 @@ STATUS as the JSON body ``repro status --json`` renders.
 
 from __future__ import annotations
 
-import os
-import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..api.config import ExperimentConfig
 from ..errors import ProtocolError, ServiceError
-from ..obs import events as obs_events
 from ..obs import tracing as obs_tracing
 from ..service import protocol
-from ..service.daemon import DEFAULT_HOST, _Handler
-from ..service.telemetry import MetricsRegistry
+from ..service.endpoint import DEFAULT_HOST, Endpoint
 from ..store.sharding import partition_chunks
 from .leases import LeaseManager
 
@@ -85,12 +80,7 @@ class _Worker:
         return (self.configs_completed + self.inflight) / elapsed
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = False
-    daemon_threads = True
-
-
-class SweepCoordinator:
+class SweepCoordinator(Endpoint):
     """Serves one sweep grid to work-stealing workers.
 
     ``configs`` is the (already sharded, if requested) grid;
@@ -102,6 +92,10 @@ class SweepCoordinator:
     stop with :meth:`stop` — or drive requests directly through
     :meth:`dispatch` (the lease tests do).
     """
+
+    process = "sweep coordinator"
+    served_by = "a sweep coordinator"
+    refer_to = "repro serve"
 
     def __init__(
         self,
@@ -120,12 +114,9 @@ class SweepCoordinator:
         self.store = _coerce_store(store)
         if self.store is None:
             raise ServiceError("a sweep coordinator needs a store")
+        super().__init__(host, port, "repro-sweep-coordinator", log)
         self.configs = tuple(configs)
-        self.host = host
-        self.requested_port = port
         self.clock = clock
-        self._log_sink = log
-        self.events = obs_events.EventLog("repro-sweep-coordinator", sink=log)
         self._chunks = [
             _Chunk(index=i, configs=chunk)
             for i, chunk in enumerate(
@@ -140,12 +131,8 @@ class SweepCoordinator:
         self._done = threading.Event()
         if not self._chunks:
             self._done.set()
-        self._server: _Server | None = None
-        self._started_s: float | None = None
-        self.metrics = MetricsRegistry()
         sweep = "repro_dist_sweep"
-        self._m_total = self.metrics.gauge(sweep, "chunks_total")
-        self._m_total.set(len(self._chunks))
+        self.metrics.gauge(sweep, "chunks_total").set(len(self._chunks))
         self._m_completed = self.metrics.counter(sweep, "chunks_completed")
         self._m_stolen = self.metrics.counter(sweep, "chunks_stolen")
         self._m_configs = self.metrics.counter(sweep, "configs_completed")
@@ -153,54 +140,18 @@ class SweepCoordinator:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The bound TCP port (resolves ``port=0`` after :meth:`start`)."""
-        if self._server is None:
-            return self.requested_port
-        return self._server.server_address[1]
+    def _open(self) -> dict:
+        return {
+            "chunks": len(self._chunks),
+            "configs": len(self.configs),
+            "store": str(self.store.root),
+        }
 
-    def start(self) -> None:
-        """Bind the socket and start the acceptor thread."""
-        if self._server is not None:
-            raise ServiceError("coordinator already started")
-        try:
-            self._server = _Server((self.host, self.requested_port), _Handler)
-        except OSError as error:
-            raise ServiceError(
-                f"cannot listen on {self.host}:{self.requested_port}: "
-                f"{error.strerror or error}"
-            ) from error
-        # _Handler reads `server.serve_daemon`; anything with a
-        # dispatch() fits.
-        self._server.serve_daemon = self
-        self._started_s = time.monotonic()
-        acceptor = threading.Thread(
-            target=self._server.serve_forever,
-            name="sweep-coordinator",
-            daemon=True,
-        )
-        acceptor.start()
-        obs_events.install(self.events)
-        self.events.emit(
-            "listening", host=self.host, port=self.port, pid=os.getpid(),
-            chunks=len(self._chunks), configs=len(self.configs),
-            store=str(self.store.root),
-        )
-
-    def stop(self) -> None:
-        """Stop the acceptor and close the socket."""
-        server, self._server = self._server, None
-        if server is None:
-            return
-        server.shutdown()
-        server.server_close()
-        self.events.emit(
-            "stopped", done=self._done.is_set(),
-            chunks_completed=self._m_completed.value,
-        )
-        obs_events.uninstall(self.events)
-        self.events.close()
+    def _close(self) -> dict:
+        return {
+            "done": self._done.is_set(),
+            "chunks_completed": self._m_completed.value,
+        }
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until every chunk completes; True when the sweep is done."""
@@ -213,54 +164,11 @@ class SweepCoordinator:
 
     # -- request dispatch --------------------------------------------------------
 
-    def dispatch(self, message: dict) -> dict:
-        """Answer one inbound request message with a reply message."""
-        rtype = protocol.validate_request(message)
-        if rtype in protocol.DIST_TYPES and message.get("trace"):
-            # Workers drain their span buffers into every sweep verb;
-            # fold them into this process's trace for the merged export.
-            tracer = obs_tracing.active_tracer()
-            if tracer is not None:
-                tracer.add_foreign_spans(message["trace"])
-        if rtype == "PING":
-            return protocol.request("PING") | {"type": "PONG"}
-        if rtype == "CLAIM":
-            return self._handle_claim(message)
-        if rtype == "HEARTBEAT":
-            return self._handle_renew(message, completed=None)
-        if rtype == "PROGRESS":
-            return self._handle_renew(
-                message, completed=message["completed"]
-            )
-        if rtype == "COMPLETE":
-            return self._handle_complete(message)
-        if rtype == "STATUS":
-            return {
-                "v": protocol.PROTOCOL_VERSION,
-                "type": "STATUS",
-                **self.status(),
-            }
-        if rtype == "METRICS":
-            obs = "repro_obs"
-            self.metrics.gauge(obs, "spans_recorded").set(
-                self.spans_recorded
-            )
-            self.metrics.gauge(obs, "events_logged").set(
-                self.events.events_logged
-            )
-            return {
-                "v": protocol.PROTOCOL_VERSION,
-                "type": "METRICS",
-                "body": self.metrics.render(),
-            }
-        if rtype == "SHUTDOWN":
-            threading.Thread(target=self.stop, daemon=True).start()
-            return {"v": protocol.PROTOCOL_VERSION, "type": "STOPPING"}
-        raise ProtocolError(
-            f"{rtype} is not served by a sweep coordinator "
-            f"(send it to repro serve)",
-            code="unsupported",
-        )
+    def _fold_trace(self, message: dict) -> None:
+        """Fold a worker's drained spans into this process's trace."""
+        tracer = obs_tracing.active_tracer()
+        if tracer is not None and message.get("trace"):
+            tracer.add_foreign_spans(message["trace"])
 
     def _touch(self, worker: str) -> _Worker:
         now = self.clock()
@@ -281,18 +189,16 @@ class SweepCoordinator:
             )
         return self._chunks[index]
 
-    def _handle_claim(self, message: dict) -> dict:
+    def _on_claim(self, message: dict) -> dict:
+        self._fold_trace(message)
         worker = message["worker"]
         with self._lock:
             self._touch(worker)
             granted, stolen = self._next_grant(worker)
             if granted is None:
-                return {
-                    "v": protocol.PROTOCOL_VERSION,
-                    "type": "EMPTY",
-                    "done": self._done.is_set(),
-                    "retry_s": RETRY_S,
-                }
+                return protocol.reply(
+                    "EMPTY", done=self._done.is_set(), retry_s=RETRY_S
+                )
             granted.grants += 1
             granted.completed = 0
             if stolen:
@@ -301,14 +207,13 @@ class SweepCoordinator:
             "chunk_granted", chunk=granted.index, worker=worker,
             configs=len(granted.configs), stolen=int(stolen),
         )
-        reply = {
-            "v": protocol.PROTOCOL_VERSION,
-            "type": "CHUNK",
-            "chunk": granted.index,
-            "configs": [config.to_dict() for config in granted.configs],
-            "lease_s": self.leases.ttl_s,
-            "store": str(self.store.root),
-        }
+        reply = protocol.reply(
+            "CHUNK",
+            chunk=granted.index,
+            configs=[config.to_dict() for config in granted.configs],
+            lease_s=self.leases.ttl_s,
+            store=str(self.store.root),
+        )
         if obs_tracing.active_tracer() is not None:
             reply["trace"] = True
         return reply
@@ -350,7 +255,14 @@ class SweepCoordinator:
                 return chunk, True
         return None, False
 
-    def _handle_renew(self, message: dict, completed) -> dict:
+    def _on_heartbeat(self, message: dict) -> dict:
+        return self._renew(message, completed=None)
+
+    def _on_progress(self, message: dict) -> dict:
+        return self._renew(message, completed=message["completed"])
+
+    def _renew(self, message: dict, completed) -> dict:
+        self._fold_trace(message)
         worker = message["worker"]
         chunk = self._chunk(message)
         with self._lock:
@@ -372,14 +284,10 @@ class SweepCoordinator:
                     "repro_dist_worker", "configs_completed",
                     {"worker": worker},
                 ).inc(delta)
-        return {
-            "v": protocol.PROTOCOL_VERSION,
-            "type": "OK",
-            "chunk": chunk.index,
-            "expires": lease.expires,
-        }
+        return protocol.reply("OK", chunk=chunk.index, expires=lease.expires)
 
-    def _handle_complete(self, message: dict) -> dict:
+    def _on_complete(self, message: dict) -> dict:
+        self._fold_trace(message)
         worker = message["worker"]
         chunk = self._chunk(message)
         with self._lock:
@@ -416,17 +324,12 @@ class SweepCoordinator:
                 "sweep_done", chunks=len(self._chunks),
                 configs=len(self.configs),
             )
-        return {
-            "v": protocol.PROTOCOL_VERSION,
-            "type": "OK",
-            "chunk": chunk.index,
-            "done": done,
-        }
+        return protocol.reply("OK", chunk=chunk.index, done=done)
 
     # -- observability -----------------------------------------------------------
 
-    def status(self) -> dict:
-        """The coordinator-wide STATUS body (JSON-ready).
+    def _status_fields(self) -> dict:
+        """The coordinator's part of the STATUS body.
 
         ``chunks`` counts total/pending/leased/completed/stolen;
         ``workers`` maps each worker id to its chunk/config counts and
@@ -458,9 +361,6 @@ class SweepCoordinator:
             }
             configs_done = sum(chunk.completed for chunk in self._chunks)
         return {
-            "pid": os.getpid(),
-            "host": self.host,
-            "port": self.port,
             "done": self._done.is_set(),
             "store": str(self.store.root),
             "lease_s": self.leases.ttl_s,
@@ -476,12 +376,4 @@ class SweepCoordinator:
                 "completed": configs_done,
             },
             "workers": workers,
-            "spans_recorded": self.spans_recorded,
-            "events_logged": self.events.events_logged,
         }
-
-    @property
-    def spans_recorded(self) -> int:
-        """Spans in the active tracer's buffer scope (0 when off)."""
-        tracer = obs_tracing.active_tracer()
-        return tracer.spans_recorded if tracer is not None else 0

@@ -32,7 +32,7 @@ from ..errors import ServiceError
 from ..obs import events as obs_events
 from ..obs import tracing as obs_tracing
 from ..service import protocol
-from ..service.client import RemoteError
+from ..service.endpoint import EndpointClient, RemoteError
 
 __all__ = ["CoordinatorClient", "run_worker", "PROGRESS_BATCH"]
 
@@ -41,47 +41,23 @@ __all__ = ["CoordinatorClient", "run_worker", "PROGRESS_BATCH"]
 PROGRESS_BATCH = 4
 
 
-class CoordinatorClient:
+class CoordinatorClient(EndpointClient):
     """One request/reply exchange per call against a sweep coordinator.
 
-    The same one-connection-per-exchange discipline as
-    :class:`~repro.service.client.ServeClient`: the coordinator is the
-    stateful side, clients stay trivially restartable.  Typed ERROR
-    replies surface as :class:`~repro.service.client.RemoteError` with
-    the machine code preserved (callers branch on ``stale_lease``).
+    The same exchange as :class:`~repro.service.client.ServeClient`:
+    typed ERROR replies surface as
+    :class:`~repro.service.client.RemoteError` with the machine code
+    preserved (callers branch on ``stale_lease``).
     """
+
+    peer = "coordinator"
+    unreachable_hint = "is the sweep still running?"
 
     def __init__(self, host: str, port: int, worker: str,
                  timeout: float = 30.0) -> None:
         """``worker`` is this client's claim identity."""
-        self.host = host
-        self.port = port
+        super().__init__(host, port, timeout)
         self.worker = worker
-        self.timeout = timeout
-
-    def _exchange(self, message: dict) -> dict:
-        try:
-            with socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            ) as sock:
-                protocol.send_message(sock, message)
-                reply = protocol.recv_message(sock)
-        except protocol.ConnectionClosed as error:
-            raise ServiceError(
-                f"coordinator at {self.host}:{self.port} closed the "
-                f"connection without replying"
-            ) from error
-        except OSError as error:
-            raise ServiceError(
-                f"cannot reach coordinator at {self.host}:{self.port}: "
-                f"{error.strerror or error} (is the sweep still running?)"
-            ) from error
-        if reply.get("type") == "ERROR":
-            raise RemoteError(
-                reply.get("error", "unspecified coordinator error"),
-                code=reply.get("code", "bad_message"),
-            )
-        return reply
 
     def _request(self, rtype: str, trace: list | None, **fields) -> dict:
         message = protocol.request(rtype, worker=self.worker, **fields)
@@ -110,21 +86,6 @@ class CoordinatorClient:
     def complete(self, chunk: int, trace: list | None = None) -> dict:
         """Mark ``chunk`` finished and release its lease."""
         return self._request("COMPLETE", trace, chunk=chunk)
-
-    def status(self) -> dict:
-        """The coordinator's STATUS body."""
-        reply = self._exchange(protocol.request("STATUS"))
-        return {
-            key: value for key, value in reply.items()
-            if key not in ("v", "type")
-        }
-
-    def ping(self) -> bool:
-        """True when a coordinator answers at ``(host, port)``."""
-        try:
-            return self._exchange(protocol.request("PING"))["type"] == "PONG"
-        except ServiceError:
-            return False
 
 
 def _env_stall(name: str) -> float:

@@ -32,10 +32,6 @@ class PowerGatingError(MemoryError_):
     """An access was attempted on a power-gated (sleeping) memory bank."""
 
 
-class CapacityError(MemoryError_):
-    """A placement or write exceeded the capacity of a storage space."""
-
-
 class IsaError(ReproError):
     """Base class for PIM-ISA failures."""
 

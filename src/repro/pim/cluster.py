@@ -117,11 +117,6 @@ class PIMCluster:
         for module in self.modules:
             module.gate(target)
 
-    def ungate_all(self, target: str) -> None:
-        """Un-gate ``target`` on every module."""
-        for module in self.modules:
-            module.ungate(target)
-
     def account_idle(self, duration_ns: float) -> None:
         """Charge idle time on every module."""
         for module in self.modules:

@@ -105,11 +105,6 @@ class Request:
     #: Traffic class (priority / SLO treatment).
     cls: RequestClass
 
-    @property
-    def slack_ns(self) -> float:
-        """Deadline headroom at arrival."""
-        return self.deadline_ns - self.arrival_ns
-
 
 @dataclass(frozen=True)
 class RequestBatch:

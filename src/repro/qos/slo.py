@@ -319,15 +319,6 @@ class SloAccountant:
 
     # -- overall statistics -----------------------------------------------------
 
-    def overall_percentiles(self) -> tuple:
-        """(p50, p95, p99) over every completion so far."""
-        return tuple(
-            None if value is None else float(value)
-            for value in (
-                percentile(self._latencies, q) for q in PERCENTILES
-            )
-        )
-
     @property
     def deadline_miss_rate(self) -> float:
         """Fraction of completions past their hard deadline."""

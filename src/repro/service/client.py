@@ -2,9 +2,11 @@
 
 :class:`ServeClient` speaks :mod:`repro.service.protocol` to a running
 ``repro serve`` daemon.  Every call opens one connection, performs one
-request/reply exchange and closes — the daemon is the stateful side;
-clients stay trivially restartable and safe to use from any process
-(``repro submit`` in a second shell is exactly this class).
+request/reply exchange and closes (the exchange is
+:class:`~repro.service.endpoint.EndpointClient`, shared with the sweep
+worker's client) — the daemon is the stateful side; clients stay
+trivially restartable and safe to use from any process (``repro
+submit`` in a second shell is exactly this class).
 
 Typed ``ERROR`` replies and socket-level failures both surface as
 :class:`~repro.errors.ServiceError` — the error reply's machine code is
@@ -14,30 +16,15 @@ handling covers every failure mode.
 
 from __future__ import annotations
 
-import socket
-
 from ..api.config import ExperimentConfig
-from ..errors import ServiceError
 from . import protocol
 from .daemon import DEFAULT_HOST, DEFAULT_PORT
+from .endpoint import EndpointClient, RemoteError
 
 __all__ = ["ServeClient", "RemoteError"]
 
 
-class RemoteError(ServiceError):
-    """The daemon answered with a typed ERROR reply.
-
-    ``code`` carries the reply's machine-readable error code (one of
-    :data:`repro.service.protocol.ERROR_CODES`), so callers can branch
-    on ``job_failed`` vs ``draining`` without parsing the message.
-    """
-
-    def __init__(self, message: str, code: str = "bad_message") -> None:
-        super().__init__(message)
-        self.code = code
-
-
-class ServeClient:
+class ServeClient(EndpointClient):
     """One request/reply exchange per call against a serve daemon.
 
     ``timeout`` bounds each socket operation; RESULT waits size their
@@ -45,38 +32,13 @@ class ServeClient:
     does not trip the transport timeout.
     """
 
+    peer = "daemon"
+    unreachable_hint = "is repro serve running?"
+
     def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
                  timeout: float = 30.0) -> None:
         """See the class docstring."""
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-
-    def _exchange(self, message: dict,
-                  timeout: float | None = None) -> dict:
-        try:
-            with socket.create_connection(
-                (self.host, self.port),
-                timeout=timeout if timeout is not None else self.timeout,
-            ) as sock:
-                protocol.send_message(sock, message)
-                reply = protocol.recv_message(sock)
-        except protocol.ConnectionClosed as error:
-            raise ServiceError(
-                f"daemon at {self.host}:{self.port} closed the "
-                f"connection without replying"
-            ) from error
-        except OSError as error:
-            raise ServiceError(
-                f"cannot reach daemon at {self.host}:{self.port}: "
-                f"{error.strerror or error} (is repro serve running?)"
-            ) from error
-        if reply.get("type") == "ERROR":
-            raise RemoteError(
-                reply.get("error", "unspecified daemon error"),
-                code=reply.get("code", "bad_message"),
-            )
-        return reply
+        super().__init__(host, port, timeout)
 
     # -- the protocol verbs ------------------------------------------------------
 
@@ -101,11 +63,10 @@ class ServeClient:
 
     def status(self, job_id: str | None = None) -> dict:
         """Daemon-wide state, or one job's state when ``job_id`` is given."""
-        fields = {} if job_id is None else {"job_id": job_id}
-        reply = self._exchange(protocol.request("STATUS", **fields))
-        reply.pop("v", None)
-        reply.pop("type", None)
-        return reply
+        if job_id is None:
+            return super().status()
+        reply = self._exchange(protocol.request("STATUS", job_id=job_id))
+        return self._body(reply)
 
     def result(self, job_id: str, wait: bool = True,
                timeout: float = 300.0) -> dict:
@@ -122,10 +83,7 @@ class ServeClient:
             ),
             timeout=(timeout + self.timeout) if wait else None,
         )
-        return {
-            key: value for key, value in reply.items()
-            if key not in ("v", "type")
-        }
+        return self._body(reply)
 
     def metrics(self) -> str:
         """The daemon's metrics registry as InfluxDB line protocol."""
@@ -143,10 +101,3 @@ class ServeClient:
         self._exchange(
             protocol.request("SHUTDOWN"), timeout=timeout + self.timeout
         )
-
-    def ping(self) -> bool:
-        """True when a daemon answers at ``(host, port)``."""
-        try:
-            return self._exchange(protocol.request("PING"))["type"] == "PONG"
-        except ServiceError:
-            return False

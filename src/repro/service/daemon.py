@@ -38,8 +38,6 @@ from __future__ import annotations
 import os
 import queue
 import signal
-import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,16 +46,13 @@ from ..api.config import ExperimentConfig
 from ..api.engine import Engine
 from ..api.results import record_kind
 from ..errors import ProtocolError, ReproError, ServiceError
-from ..obs import events as obs_events
 from ..obs import tracing as obs_tracing
 from ..obs.tracing import span as _span
 from . import protocol
-from .telemetry import LineFileWriter, MetricsRegistry, format_line
+from .endpoint import DEFAULT_HOST, Endpoint
+from .telemetry import LineFileWriter, format_line
 
 __all__ = ["Job", "ServeDaemon", "DEFAULT_HOST", "DEFAULT_PORT"]
-
-#: The daemon binds localhost only: the protocol is unauthenticated.
-DEFAULT_HOST = "127.0.0.1"
 
 #: Default TCP port of ``repro serve`` (0 picks an ephemeral port).
 DEFAULT_PORT = 7787
@@ -107,46 +102,7 @@ class Job:
         }
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    """Per-connection handler threads over one listening socket."""
-
-    allow_reuse_address = False
-    daemon_threads = True
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    """Reads frames off one connection until the peer hangs up."""
-
-    def handle(self):  # noqa: D102 - socketserver plumbing
-        daemon = self.server.serve_daemon
-        while True:
-            try:
-                message = protocol.recv_message(self.request)
-            except protocol.ConnectionClosed:
-                return
-            except ProtocolError as error:
-                # A torn frame leaves the stream unparseable: reply
-                # typed, then drop the connection.
-                self._reply(protocol.error_reply(error.code, str(error)))
-                return
-            except OSError:
-                return
-            try:
-                reply = daemon.dispatch(message)
-            except ProtocolError as error:
-                reply = protocol.error_reply(error.code, str(error))
-            if not self._reply(reply):
-                return
-
-    def _reply(self, message: dict) -> bool:
-        try:
-            protocol.send_message(self.request, message)
-            return True
-        except OSError:
-            return False
-
-
-class ServeDaemon:
+class ServeDaemon(Endpoint):
     """A long-lived serving process: Engine + store + metrics + socket.
 
     ``engine`` defaults to a fresh :class:`Engine` attached to
@@ -158,6 +114,10 @@ class ServeDaemon:
     completed job and QoS window; ``pidfile`` records the daemon pid
     for process supervisors.
     """
+
+    process = "repro serve"
+    served_by = "this daemon"
+    refer_to = "a sweep coordinator"
 
     def __init__(
         self,
@@ -176,14 +136,11 @@ class ServeDaemon:
         on :meth:`stop` (activating process-wide tracing on start)."""
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
-        self.host = host
-        self.requested_port = port
+        super().__init__(host, port, "repro-serve", log)
         self.workers = workers
         self.pidfile = pidfile
-        self._log_sink = log
         self.trace_path = trace
         self._own_tracer = False
-        self.events = obs_events.EventLog("repro-serve", sink=log)
         if engine is None:
             from ..store.store import Store
 
@@ -191,7 +148,6 @@ class ServeDaemon:
                 store=store if store is not None else Store()
             )
         self.engine = engine
-        self.metrics = MetricsRegistry()
         self._metrics_writer = (
             LineFileWriter(metrics_file, on_error=self._metrics_error)
             if metrics_file is not None
@@ -206,10 +162,6 @@ class ServeDaemon:
         self._inflight = 0
         self._next_id = 0
         self._draining = threading.Event()
-        self._started_s: float | None = None
-        self._server: _Server | None = None
-        self._threads: list = []
-        self._shutdown_thread: threading.Thread | None = None
         # Counters exist from the first scrape, not the first event.
         jobs = "repro_serve_jobs"
         self._submitted = self.metrics.counter(jobs, "jobs_submitted")
@@ -248,62 +200,20 @@ class ServeDaemon:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The bound TCP port (resolves ``port=0`` after :meth:`start`)."""
-        if self._server is None:
-            return self.requested_port
-        return self._server.server_address[1]
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since the daemon started listening."""
-        if self._started_s is None:
-            return 0.0
-        return time.monotonic() - self._started_s
-
-    def start(self) -> None:
-        """Bind the socket and start worker + acceptor threads.
-
-        Returns once the daemon is accepting connections — tests run
-        the daemon in-process this way; the CLI uses the blocking
-        :meth:`run` instead.
-        """
-        if self._server is not None:
-            raise ServiceError("daemon already started")
-        try:
-            self._server = _Server((self.host, self.requested_port), _Handler)
-        except OSError as error:
-            raise ServiceError(
-                f"cannot listen on {self.host}:{self.requested_port}: "
-                f"{error.strerror or error} "
-                f"(is another repro serve already running?)"
-            ) from error
-        self._server.serve_daemon = self
+    def _open(self) -> dict:
+        """Write the pidfile, activate tracing, start the job workers."""
         self._write_pidfile()
         if self.trace_path is not None and obs_tracing.active_tracer() is None:
             obs_tracing.activate(proc="daemon")
             self._own_tracer = True
-        obs_events.install(self.events)
-        self._started_s = time.monotonic()
         for index in range(self.workers):
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._worker, name=f"serve-worker-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-        acceptor = threading.Thread(
-            target=self._server.serve_forever,
-            name="serve-acceptor",
-            daemon=True,
-        )
-        acceptor.start()
-        self._threads.append(acceptor)
-        self.events.emit(
-            "listening", host=self.host, port=self.port, pid=os.getpid(),
-            workers=self.workers,
-            store=str(getattr(self.engine.store, "root", None)),
-        )
+            ).start()
+        return {
+            "workers": self.workers,
+            "store": str(getattr(self.engine.store, "root", None)),
+        }
 
     def run(self) -> dict:
         """Start, serve until SHUTDOWN/SIGTERM/SIGINT, and clean up.
@@ -354,25 +264,15 @@ class ServeDaemon:
 
     def initiate_shutdown(self) -> None:
         """Drain and stop, from any thread, without blocking the caller."""
-        if self._shutdown_thread is not None:
-            return
-        thread = threading.Thread(
-            target=self._drain_and_stop, name="serve-shutdown", daemon=True
-        )
-        self._shutdown_thread = thread
-        thread.start()
+        self._draining.set()
+        super().initiate_shutdown()
 
-    def _drain_and_stop(self) -> None:
+    def _shut_down(self) -> None:
         self.drain()
         self.stop()
 
-    def stop(self) -> None:
-        """Stop the acceptor, close the socket, remove the pidfile."""
-        server, self._server = self._server, None
-        if server is None:
-            return
-        server.shutdown()
-        server.server_close()
+    def _close(self) -> dict:
+        """Close the metrics file, remove the pidfile, write the trace."""
         if self._metrics_writer is not None:
             self._metrics_writer.close()
         self._remove_pidfile()
@@ -382,14 +282,12 @@ class ServeDaemon:
         if self._own_tracer:
             obs_tracing.deactivate()
             self._own_tracer = False
-        self.events.emit(
-            "stopped", pid=os.getpid(),
-            jobs_completed=self._completed.value,
-            jobs_failed=self._failed.value,
-            uptime_s=self.uptime_s,
-        )
-        obs_events.uninstall(self.events)
-        self.events.close()
+        return {
+            "pid": os.getpid(),
+            "jobs_completed": self._completed.value,
+            "jobs_failed": self._failed.value,
+            "uptime_s": self.uptime_s,
+        }
 
     # -- job execution -----------------------------------------------------------
 
@@ -525,45 +423,10 @@ class ServeDaemon:
 
     # -- request dispatch --------------------------------------------------------
 
-    def dispatch(self, message: dict) -> dict:
-        """Answer one inbound request message with a reply message."""
-        rtype = protocol.validate_request(message)
-        if rtype == "PING":
-            return protocol.request("PING") | {"type": "PONG"}
-        if rtype == "SUBMIT":
-            return self._handle_submit(message)
-        if rtype == "STATUS":
-            return self._handle_status(message)
-        if rtype == "RESULT":
-            return self._handle_result(message)
-        if rtype == "METRICS":
-            return {
-                "v": protocol.PROTOCOL_VERSION,
-                "type": "METRICS",
-                "body": self.metrics_text(),
-            }
-        if rtype == "DRAIN":
-            done = self.drain()
-            return {
-                "v": protocol.PROTOCOL_VERSION,
-                "type": "DRAINED",
-                "jobs_done": done,
-            }
-        if rtype == "SHUTDOWN":
-            # Reply first, then stop from another thread so this
-            # handler can still flush the reply over the dying socket.
-            self._draining.set()
-            self.initiate_shutdown()
-            return {"v": protocol.PROTOCOL_VERSION, "type": "STOPPING"}
-        # The distributed-sweep verbs are valid protocol but belong to
-        # the sweep coordinator, not the serve daemon.
-        raise ProtocolError(
-            f"{rtype} is not served by this daemon "
-            f"(send it to a sweep coordinator)",
-            code="unsupported",
-        )
+    def _on_drain(self, message: dict) -> dict:
+        return protocol.reply("DRAINED", jobs_done=self.drain())
 
-    def _handle_submit(self, message: dict) -> dict:
+    def _on_submit(self, message: dict) -> dict:
         if self._draining.is_set():
             raise ProtocolError(
                 "daemon is draining and no longer accepts submissions",
@@ -596,11 +459,7 @@ class ServeDaemon:
         self.events.emit(
             "job_submitted", job=job.job_id, kind=kind, label=config.label
         )
-        return {
-            "v": protocol.PROTOCOL_VERSION,
-            "type": "SUBMITTED",
-            "job_id": job.job_id,
-        }
+        return protocol.reply("SUBMITTED", job_id=job.job_id)
 
     def _job(self, job_id) -> Job:
         with self._jobs_lock:
@@ -611,20 +470,13 @@ class ServeDaemon:
             )
         return job
 
-    def _handle_status(self, message: dict) -> dict:
+    def _on_status(self, message: dict) -> dict:
         if "job_id" in message:
-            return {
-                "v": protocol.PROTOCOL_VERSION,
-                "type": "STATUS",
-                "job": self._job(message["job_id"]).summary(),
-            }
-        return {
-            "v": protocol.PROTOCOL_VERSION,
-            "type": "STATUS",
-            **self.status(),
-        }
+            job = self._job(message["job_id"])
+            return protocol.reply("STATUS", job=job.summary())
+        return super()._on_status(message)
 
-    def _handle_result(self, message: dict) -> dict:
+    def _on_result(self, message: dict) -> dict:
         job = self._job(message["job_id"])
         if message.get("wait", True):
             deadline = time.monotonic() + float(
@@ -644,29 +496,20 @@ class ServeDaemon:
             raise ProtocolError(
                 f"{job.job_id} is still {job.state}", code="job_pending"
             )
-        reply = {
-            "v": protocol.PROTOCOL_VERSION,
-            "type": "RESULT",
-            "job_id": job.job_id,
-            **job.payload,
-        }
+        reply = protocol.reply("RESULT", job_id=job.job_id, **job.payload)
         if job.trace:
             reply["trace"] = job.trace_spans or []
         return reply
 
     # -- observability -----------------------------------------------------------
 
-    def status(self) -> dict:
-        """The daemon-wide STATUS body (JSON-ready)."""
+    def _status_fields(self) -> dict:
         with self._jobs_lock:
             states = dict.fromkeys(JOB_STATES, 0)
             for job in self._jobs.values():
                 states[job.state] += 1
             jobs = [self._jobs[jid].summary() for jid in self._order[-20:]]
         return {
-            "pid": os.getpid(),
-            "host": self.host,
-            "port": self.port,
             "uptime_s": self.uptime_s,
             "draining": self._draining.is_set(),
             "queue_depth": states["pending"],
@@ -674,30 +517,13 @@ class ServeDaemon:
             "jobs": states,
             "recent": jobs,
             "engine": self.engine.stats_snapshot(),
-            "spans_recorded": self.spans_recorded,
-            "events_logged": self.events.events_logged,
         }
 
-    @property
-    def spans_recorded(self) -> int:
-        """Spans the active tracer has recorded (0 when tracing is off)."""
-        tracer = obs_tracing.active_tracer()
-        return tracer.spans_recorded if tracer is not None else 0
-
-    def metrics_text(self, timestamp_ns: int | None = None) -> str:
-        """The registry as line protocol, engine/uptime gauges refreshed."""
-        snapshot = self.engine.stats_snapshot()
-        for key, value in snapshot.items():
+    def _refresh_gauges(self) -> None:
+        """Refresh the engine and serve gauges before a scrape."""
+        state = self._status_fields()
+        for key, value in state["engine"].items():
             self.metrics.gauge("repro_engine", key).set(value)
-        state = self.status()
         serve = "repro_serve"
-        self.metrics.gauge(serve, "uptime_s").set(state["uptime_s"])
-        self.metrics.gauge(serve, "queue_depth").set(state["queue_depth"])
-        self.metrics.gauge(serve, "inflight").set(state["inflight"])
-        self.metrics.gauge(serve, "draining").set(state["draining"])
-        obs = "repro_obs"
-        self.metrics.gauge(obs, "spans_recorded").set(
-            state["spans_recorded"]
-        )
-        self.metrics.gauge(obs, "events_logged").set(state["events_logged"])
-        return self.metrics.render(timestamp_ns)
+        for key in ("uptime_s", "queue_depth", "inflight", "draining"):
+            self.metrics.gauge(serve, key).set(state[key])

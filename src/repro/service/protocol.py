@@ -98,6 +98,7 @@ __all__ = [
     "send_message",
     "recv_message",
     "request",
+    "reply",
     "error_reply",
     "validate_request",
 ]
@@ -233,6 +234,11 @@ def request(rtype: str, **fields) -> dict:
             f"known: {', '.join(REQUEST_TYPES)}",
             code="unknown_type",
         )
+    return {"v": PROTOCOL_VERSION, "type": rtype, **fields}
+
+
+def reply(rtype: str, **fields) -> dict:
+    """A versioned reply message of the given type."""
     return {"v": PROTOCOL_VERSION, "type": rtype, **fields}
 
 

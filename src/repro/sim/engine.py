@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from ..errors import SimulationError
 from ..memory.hybrid import BankKind
-from ..pim.cluster import PIMCluster
 from .events import EventQueue
 from .trace import TraceRecorder
 
@@ -42,14 +41,6 @@ class CycleEngine:
         self.latency_scale = latency_scale
         self.queue = EventQueue()
         self.trace = TraceRecorder()
-
-    def _cluster_of(self, kind) -> PIMCluster:
-        try:
-            return self.clusters[kind.cluster]
-        except KeyError:
-            raise SimulationError(
-                f"no {kind.cluster.name} cluster for space {kind.value}"
-            ) from None
 
     def execute_task(self, counts: dict, macs_per_block: float) -> TaskExecution:
         """Run one task under a placement; returns timing and energy.

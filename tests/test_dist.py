@@ -2,8 +2,8 @@
 
 Everything here is in-process and sleep-free: lease expiry runs on an
 injectable manual clock, and the coordinator is driven through
-``dispatch()`` directly — the wire plumbing it shares with the serve
-daemon is pinned by ``test_service.py``, and the full multi-process
+``dispatch()`` directly — the wire shell it shares with the serve
+daemon is pinned by ``test_wire_contract.py``, and the full multi-process
 path (worker subprocesses, SIGKILL, byte-identical exports) lives in
 ``test_dist_integration.py``.
 """
